@@ -213,13 +213,7 @@ def cmd_fit(args):
                         "the continuous normal equations use the unit weight; "
                         "use --method projection for weighted fits")
                 exps = fn.exponents + tuple(lam * i for i in range(args.degree + 1))
-                step = quad.common_step(exps) if lo == 0.0 else None
-                if step is not None and 0 < step <= 2:
-                    rule = quad.substituted_rule(args.quad_points, step, hi)
-                elif lo == 0.0:
-                    rule = quad.substituted_rule(args.quad_points, lam, hi)
-                else:
-                    rule = quad.gauss_legendre(args.quad_points, lo, hi)
+                rule = quad.ladder_rule(args.quad_points, exps, lo, hi, fallback_step=lam)
                 fit = fit_continuous_normal(fn, lo, hi, lam, args.degree, rule=rule)
         preds = [(x, predict(fit, x)) for x in predict_at]
         results.append((fit, preds))

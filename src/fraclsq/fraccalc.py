@@ -232,8 +232,11 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
         error = float(_exact_pairing(resid, resid))
     else:
         if rule is None:
-            rule = _default_fde_rule(psis, prob.hi)
-        fvals = _eval_rhs(prob.rhs, rule.nodes) + prob.initial_value
+            # the x^step substitution makes the residual integrands exactly
+            # polynomial when the operator images share an exponent step
+            exps = {e for psi in psis for e, _ in psi.terms}
+            rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
+        fvals = quad.sample(prob.rhs, rule.nodes) + prob.initial_value
         M = np.column_stack([psi(rule.nodes) for psi in psis])
         G = (M * rule.weights[:, None]).T @ M
         d = M.T @ (rule.weights * fvals)
@@ -247,24 +250,6 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
 
     return FitResult(basis_kind, lam, coeffs, max(error, 0.0), cond,
                      0.0, prob.hi)
-
-
-def _eval_rhs(rhs, nodes):
-    if isinstance(rhs, FracFunction):
-        return rhs(nodes)
-    vals = np.array([float(rhs(x)) for x in np.atleast_1d(nodes)])
-    return vals
-
-
-def _default_fde_rule(psis, hi):
-    """Rule for residual integrals: the x^step substitution when the operator
-    images share a common exponent step (making the integrands exactly
-    polynomial), else a dense Gauss-Legendre rule."""
-    exps = sorted({e for psi in psis for e, _ in psi.terms})
-    step = quad.common_step(exps)
-    if step is not None and 0 < step <= 2 and hi == 1.0:
-        return quad.substituted_rule(quad.MAX_POINTS // 2, step, hi)
-    return quad.gauss_legendre(quad.MAX_POINTS // 2, 0.0, hi)
 
 
 def fde_abs_error(fit, exact, x):

@@ -55,6 +55,8 @@ class DataSet:
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or xs.shape != ys.shape or len(xs) == 0:
             raise DomainError("xs and ys must be equal-length non-empty 1-d arrays")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise DomainError("xs and ys must be finite")
         if np.any(xs < 0):
             raise DomainError("abscissae must be >= 0 (fractional powers)")
         if self.weights is not None:
@@ -62,8 +64,8 @@ class DataSet:
             object.__setattr__(self, "weights", w)
             if w.shape != xs.shape:
                 raise DomainError("weights must match the data length")
-            if np.any(w <= 0):
-                raise DomainError("weights must be strictly positive")
+            if not np.all(np.isfinite(w)) or np.any(w <= 0):
+                raise DomainError("weights must be finite and strictly positive")
 
     def __len__(self):
         return len(self.xs)
@@ -104,20 +106,27 @@ class FitResult:
 
 
 def _monomial_values(lam, n, x):
-    x = np.asarray(x, dtype=float)
-    exps = lam * np.arange(n + 1)
-    with np.errstate(divide="ignore"):
-        V = np.where(x[..., None] == 0.0, (exps == 0.0).astype(float),
-                     x[..., None] ** exps)
-    return V
+    """Columns x^(i*lam), i = 0..n; IEEE pow gives 0^0 = 1 and 0^e = 0."""
+    return np.asarray(x, dtype=float)[..., None] ** (lam * np.arange(n + 1))
+
+
+def _normal_fit(lam, n, moments, V, ys, w, lo, hi):
+    """Solve the monomial normal equations: on the ladder x^(i lam) x^(j lam)
+    = x^((i+j) lam), so the normal matrix is Hankel in the 2n+1 moments."""
+    idx = np.arange(n + 1)
+    A = moments[idx[:, None] + idx[None, :]]
+    coeffs, cond = solve_normal_equations(A, V.T @ (w * ys))
+    resid = ys - V @ coeffs
+    error = float(np.sum(w * resid * resid))
+    return FitResult("monomial", lam, coeffs, max(error, 0.0), cond, lo, hi)
 
 
 def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
     """Fit y on [lo, hi] by the fractional normal equations A a = d.
 
     A is assembled exactly from closed-form moments; d and the error
-    functional use the supplied quadrature rule (default: 64 points with
-    the x^lam substitution when lo = 0, plain Gauss-Legendre otherwise).
+    functional use the supplied quadrature rule (default: 64 points from
+    :func:`quadrature.ladder_rule` for the ladder exponents).
     """
     if not 0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
@@ -126,30 +135,11 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
     if n < 0 or n + 1 > MAX_CONTINUOUS_SIZE:
         raise DomainError(f"degree index must be in [0, {MAX_CONTINUOUS_SIZE - 1}]")
     if rule is None:
-        if lo == 0.0:
-            rule = quad.substituted_rule(DEFAULT_QUAD_POINTS, lam, hi)
-        else:
-            rule = quad.gauss_legendre(DEFAULT_QUAD_POINTS, lo, hi)
-
-    idx = np.arange(n + 1)
-    A = np.array([[quad.frac_moment(lo, hi, lam * (i + j)) for j in idx] for i in idx])
-
-    def yv(x):
-        try:
-            vals = np.asarray(y(x), dtype=float)
-            if vals.shape != np.shape(x):
-                raise TypeError
-            return vals
-        except (TypeError, ValueError):
-            return np.array([float(y(t)) for t in np.atleast_1d(x)])
-
-    ynodes = yv(rule.nodes)
-    V = _monomial_values(lam, n, rule.nodes)
-    d = V.T @ (rule.weights * ynodes)
-    coeffs, cond = solve_normal_equations(A, d)
-    resid = ynodes - V @ coeffs
-    error = float(np.sum(rule.weights * resid * resid))
-    return FitResult("monomial", lam, coeffs, max(error, 0.0), cond, lo, hi)
+        rule = quad.ladder_rule(DEFAULT_QUAD_POINTS, lam * np.arange(n + 1), lo, hi,
+                                fallback_step=lam)
+    moments = np.array([quad.frac_moment(lo, hi, lam * k) for k in range(2 * n + 1)])
+    return _normal_fit(lam, n, moments, _monomial_values(lam, n, rule.nodes),
+                       quad.sample(y, rule.nodes), rule.weights, lo, hi)
 
 
 def fit_discrete_normal(data, lam, n):
@@ -170,20 +160,11 @@ def fit_discrete_normal(data, lam, n):
             cond=float("inf"),
         )
     w = data.weight_array()
-    idx = np.arange(n + 1)
-    # direct powers x^((i+j) lam), matching the sums' definition exactly
-    exps = lam * (idx[:, None] + idx[None, :])
-    with np.errstate(divide="ignore"):
-        P = np.where(data.xs[:, None, None] == 0.0, (exps == 0.0).astype(float),
-                     data.xs[:, None, None] ** exps[None, :, :])
-    A = np.einsum("k,kij->ij", w, P)
-    V = _monomial_values(lam, n, data.xs)
-    d = V.T @ (w * data.ys)
-    coeffs, cond = solve_normal_equations(A, d)
-    resid = data.ys - V @ coeffs
-    error = float(np.sum(w * resid * resid))
+    # direct powers x^(k lam), k = 0..2n: moments are the power sums
+    P = _monomial_values(lam, 2 * n, data.xs)
+    moments = np.einsum("k,km->m", w, P)
     lo, hi = float(np.min(data.xs)), float(np.max(data.xs))
-    return FitResult("monomial", lam, coeffs, max(error, 0.0), cond, lo, hi)
+    return _normal_fit(lam, n, moments, P[:, :n + 1], data.ys, w, lo, hi)
 
 
 def fit_projection(target, basis):
@@ -200,12 +181,7 @@ def fit_projection(target, basis):
             raise UsageError("data abscissae must match the basis points")
         yvals = target.ys
     else:
-        try:
-            yvals = np.asarray(target(basis.points), dtype=float)
-            if yvals.shape != basis.points.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            yvals = np.array([float(target(x)) for x in basis.points])
+        yvals = quad.sample(target, basis.points)
 
     w = basis.ip_weights
     n = basis.degree_index

@@ -125,15 +125,7 @@ class OrthogonalBasis:
 
 
 def _eval_on(f, points):
-    if callable(f):
-        try:
-            vals = np.asarray(f(points), dtype=float)
-            if vals.shape != points.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(f(x)) for x in points])
-        return vals
-    return np.asarray(f, dtype=float)
+    return quad.sample(f, points) if callable(f) else np.asarray(f, dtype=float)
 
 
 def inner_product(f, g, *, rule=None, points=None, weights=None):
@@ -147,10 +139,10 @@ def inner_product(f, g, *, rule=None, points=None, weights=None):
     if rule is not None:
         if weights is not None:
             raise UsageError("weights= applies to the discrete mode only")
-        return quad.integrate(rule, lambda x: _eval_on(f, np.atleast_1d(x))
-                              * _eval_on(g, np.atleast_1d(x)))
-    pts = np.asarray(points, dtype=float)
-    w = np.ones_like(pts) if weights is None else np.asarray(weights, dtype=float)
+        pts, w = rule.nodes, rule.weights
+    else:
+        pts = np.asarray(points, dtype=float)
+        w = np.ones_like(pts) if weights is None else np.asarray(weights, dtype=float)
     return float(np.sum(w * _eval_on(f, pts) * _eval_on(g, pts)))
 
 
@@ -169,15 +161,12 @@ def default_rule(weight, lam, quad_points=DEFAULT_QUAD_POINTS):
                                       weight.beta_right)
         return quad.gauss_jacobi(quad_points, weight.beta_left, weight.beta_right,
                                  lo, hi)
-    if lo == 0.0:
-        base = quad.substituted_rule(quad_points, lam, hi)
-    else:
-        base = quad.gauss_legendre(quad_points, lo, hi)
+    base = quad.ladder_rule(quad_points, (lam,), lo, hi, fallback_step=lam)
     if weight.kind == "unit":
         return base
-    wvals = _eval_on(weight.fn, base.nodes)
-    if np.any(wvals <= 0) or not np.all(np.isfinite(wvals)):
-        raise DomainError("weight function must be finite and positive on (lo, hi)")
+    wvals = quad.sample(weight.fn, base.nodes)
+    if np.any(wvals <= 0):
+        raise DomainError("weight function must be positive on (lo, hi)")
     return quad.QuadratureRule(base.nodes, base.weights * wvals, lo, hi, "callable")
 
 

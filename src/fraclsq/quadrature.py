@@ -9,7 +9,9 @@ Fractional-monomial integrands x^(i*lam) on [0, hi] are handled exactly by
 the substitution u = x^lam, which turns them into ordinary polynomials and
 absorbs the Jacobian u^(1/lam - 1) as a Gauss-Jacobi left-endpoint factor.
 :func:`substituted_rule` and :func:`weighted_rule` package that substitution
-as ready-made rules.
+as ready-made rules, and :func:`ladder_rule` is the one place that picks a
+unit-weight rule for a given exponent set.  :func:`sample` is the one
+evaluator of user callables.
 
 Node/weight computation is delegated to the Golub-Welsch implementations in
 numpy/scipy rather than re-deriving the eigenvalue problem here.
@@ -28,11 +30,13 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "gauss_jacobi",
+    "sample",
     "integrate",
     "frac_moment",
     "substituted_rule",
     "weighted_rule",
     "common_step",
+    "ladder_rule",
 ]
 
 MAX_POINTS = 256
@@ -106,22 +110,33 @@ def gauss_jacobi(m, beta_left, beta_right, lo=-1.0, hi=1.0):
     return QuadratureRule(lo + half * (t + 1.0), scale * w, lo, hi, kind)
 
 
+def sample(f, points):
+    """Values of a user callable at 1-d ``points``.
+
+    Tries one vectorized call, and falls back to one scalar call per point
+    when that raises TypeError/ValueError or returns the wrong shape.
+    Raises DomainError naming the first point where ``f`` is not finite.
+    """
+    points = np.asarray(points, dtype=float)
+    try:
+        vals = np.asarray(f(points), dtype=float)
+        if vals.shape != points.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        vals = np.array([float(f(x)) for x in points])
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise DomainError(f"function is not finite at x={points[bad][0]}")
+    return vals
+
+
 def integrate(rule, f):
     """Apply the rule: sum_k weights[k] * f(nodes[k]).
 
-    ``f`` excludes any weight factor built into the rule.  Accepts either a
-    vectorized callable or a plain scalar one.
+    ``f`` excludes any weight factor built into the rule; see :func:`sample`
+    for how it is evaluated.
     """
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-        if vals.shape != rule.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(x)) for x in rule.nodes])
-    if not np.all(np.isfinite(vals)):
-        bad = rule.nodes[~np.isfinite(vals)][0]
-        raise DomainError(f"integrand is not finite at node x={bad}")
-    return float(vals @ rule.weights)
+    return float(sample(f, rule.nodes) @ rule.weights)
 
 
 def frac_moment(lo, hi, s):
@@ -203,3 +218,20 @@ def common_step(exponents, max_den=1000):
         g = Fraction(math.gcd(g.numerator, f.numerator),
                      (g.denominator * f.denominator) // math.gcd(g.denominator, f.denominator))
     return float(g)
+
+
+def ladder_rule(m, exponents, lo, hi, fallback_step=None):
+    """m-point unit-weight rule on [lo, hi] for integrands built from x^e.
+
+    On [0, hi] the x^step substitution with step = common_step(exponents)
+    makes every such integrand exactly polynomial; when the exponents share
+    no step in (0, 2], ``fallback_step`` (if given) is substituted instead.
+    Otherwise, and whenever lo > 0, plain Gauss-Legendre is returned.
+    """
+    if lo == 0.0:
+        step = common_step(exponents)
+        if step is not None and 0 < step <= 2:
+            return substituted_rule(m, step, hi)
+        if fallback_step is not None:
+            return substituted_rule(m, fallback_step, hi)
+    return gauss_legendre(m, lo, hi)

@@ -169,6 +169,21 @@ def test_fit_rank_deficiency_is_numerical_failure(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("rows,method", [
+    (["1,10", "nan,20", "3,30"], "normal"),
+    (["1,10", "2,inf", "3,30"], "projection"),
+    (["1,10", "2,-inf", "3,30"], "normal"),
+])
+def test_fit_nonfinite_csv_is_input_error(tmp_path, capsys, rows, method):
+    p = tmp_path / "nonfinite.csv"
+    write_csv(p, rows)
+    code, out, err = run_cli(
+        ["fit", "--input", str(p), "--lambda", "1", "--degree", "1",
+         "--method", method], capsys)
+    assert code == 2
+    assert "finite" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # orthpoly
 # ---------------------------------------------------------------------------
@@ -254,6 +269,28 @@ def test_reproduce_t6_all_pass(capsys):
     code, out, _ = run_cli(["reproduce", "T6"], capsys)
     assert code == 0
     assert "5/5 checks passed" in out
+
+
+def test_reproduce_t10_exact_fit_reports_infinite_ratio(capsys, tmp_path, monkeypatch):
+    # an exact lam = 1.39 fit has A.E.(1.39) = 0: the ratio is inf, not a crash
+    from fraclsq import reproduce
+    from fraclsq.functions import POPULATION_ORDER, POPULATION_RATE
+    from fraclsq.special import mittag_leffler
+
+    real_predict = reproduce.predict
+
+    def exact_at_own_order(fit, x):
+        if fit.lam == POPULATION_ORDER:
+            return mittag_leffler(POPULATION_ORDER, POPULATION_RATE * x**POPULATION_ORDER)
+        return real_predict(fit, x)
+
+    monkeypatch.setattr(reproduce, "predict", exact_at_own_order)
+    out_path = tmp_path / "t10.json"
+    code, _, _ = run_cli(["reproduce", "T10", "--out", str(out_path)], capsys)
+    assert code == 0
+    rows = json.loads(out_path.read_text())["rows"]
+    assert len(rows) == 10
+    assert all(r["computed"] == math.inf and r["passed"] for r in rows)
 
 
 def test_reproduce_unsupported_table(capsys):

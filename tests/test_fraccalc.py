@@ -227,3 +227,21 @@ def test_fracfunction_construction():
     assert g(0.0) == 2.0
     assert g(2.0) == 6.0
     assert g.integral01() == pytest.approx(2.0 + 1.0 / 3.0, rel=1e-15)
+
+
+def test_quadrature_path_on_wider_interval_recovers_ladder_solution():
+    # y = 2x - x^1.5 on [0, 2] lies in the lam = 0.5 ladder; a FracFunction
+    # rhs off [0, 1] takes the quadrature path with the x^0.5 substitution
+    bare = FdeProblem(terms=((0.5, 1.0),), reaction=1.0, hi=2.0)
+    y = FracFunction.from_terms([(2.0, 1.0), (-1.0, 1.5)])
+    prob = FdeProblem(terms=bare.terms, reaction=1.0, rhs=apply_operator(bare, y),
+                      hi=2.0)
+    fit = solve_fde(prob, 0.5, 4)
+    xs = np.linspace(0.0, 2.0, 17)
+    assert np.max(np.abs(predict(fit, xs) - y(xs))) <= 1e-8
+
+
+def test_quadrature_path_rejects_nonfinite_rhs():
+    prob = FdeProblem(terms=((0.5, 1.0),), rhs=lambda x: np.log(x - 0.5))
+    with pytest.raises(DomainError, match="not finite"), np.errstate(invalid="ignore"):
+        solve_fde(prob, 0.5, 2)

@@ -21,6 +21,7 @@ from fraclsq import (
     predict,
     substituted_rule,
 )
+from fraclsq import lsq
 from fraclsq.functions import lookup
 
 
@@ -256,3 +257,56 @@ def test_dataset_validation():
         DataSet([1.0], [1.0, 2.0])
     with pytest.raises(DomainError):
         DataSet([1.0, 2.0], [0.0, 1.0], weights=[1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["xs", "ys", "weights"])
+def test_dataset_rejects_nonfinite(field, bad):
+    cols = {"xs": [0.5, 1.0, 2.0], "ys": [1.0, 2.0, 3.0], "weights": [1.0, 1.0, 1.0]}
+    cols[field][1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        DataSet(**cols)
+
+
+# ---------------------------------------------------------------------------
+# moment (Hankel) assembly and non-finite targets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam,n", [(0.5, 3), (1.39, 4), (0.75, 6)])
+def test_discrete_normal_matches_power_sum_reference(lam, n, monkeypatch):
+    # reference: A_ij = sum_k w_k x_k^((i+j) lam), d_i = sum_k w_k x_k^(i lam) y_k
+    rng = np.random.default_rng(11)
+    xs = np.sort(rng.uniform(0.0, 2.0, 40))
+    xs[0] = 0.0
+    ys = np.exp(-xs) + 0.1 * rng.standard_normal(40)
+    w = rng.uniform(0.5, 2.0, 40)
+
+    def power(x, e):
+        return x**e if x else float(e == 0)
+
+    A_ref = np.array([[sum(wk * power(xk, (i + j) * lam) for xk, wk in zip(xs, w))
+                       for j in range(n + 1)] for i in range(n + 1)])
+    d_ref = np.array([sum(wk * power(xk, i * lam) * yk for xk, wk, yk in zip(xs, w, ys))
+                      for i in range(n + 1)])
+    seen = []
+    real_solve = lsq.solve_normal_equations
+    monkeypatch.setattr(lsq, "solve_normal_equations",
+                        lambda A, b: seen.append((A, b)) or real_solve(A, b))
+    fit = fit_discrete_normal(DataSet(xs, ys, w), lam, n)
+    (A, d), = seen
+    assert np.allclose(A, A_ref, rtol=1e-12, atol=0)
+    assert np.allclose(d, d_ref, rtol=1e-12, atol=0)
+    V = np.array([[power(xk, i * lam) for i in range(n + 1)] for xk in xs])
+    resid = ys - V @ fit.coeffs
+    assert fit.error == pytest.approx(float(np.sum(w * resid**2)), rel=1e-12)
+
+
+def test_continuous_and_projection_reject_nonfinite_targets():
+    def bad(x):
+        return np.where(np.asarray(x) > 0.5, np.nan, 1.0)
+
+    with pytest.raises(DomainError, match="not finite"):
+        fit_continuous_normal(bad, 0.0, 1.0, 0.5, 2)
+    basis = build_continuous(WeightSpec.unit(), 0.5, 2)
+    with pytest.raises(DomainError, match="not finite"):
+        fit_projection(lambda x: np.inf * x, basis)

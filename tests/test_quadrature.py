@@ -14,6 +14,7 @@ from fraclsq import (
     substituted_rule,
     weighted_rule,
 )
+from fraclsq.quadrature import ladder_rule, sample
 
 
 def _beta(a, b):
@@ -216,3 +217,85 @@ def test_common_step_examples():
     assert common_step((1.39, 2.78)) == pytest.approx(1.39)
     assert common_step((0.5, 1.0, math.pi)) is None
     assert common_step((0.0,)) is None
+
+
+# ---------------------------------------------------------------------------
+# sample: the one evaluator of user callables
+# ---------------------------------------------------------------------------
+
+def test_sample_makes_one_vectorized_call():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return x**2
+
+    pts = np.array([0.5, 1.0, 2.0])
+    assert np.array_equal(sample(f, pts), pts**2)
+    assert calls == [(3,)]
+
+
+def test_sample_falls_back_to_scalar_calls():
+    # math.sin rejects arrays with TypeError
+    pts = np.array([0.1, 0.2, 0.3])
+    assert sample(math.sin, pts) == pytest.approx(np.sin(pts), rel=1e-15)
+
+
+def test_sample_falls_back_on_shape_mismatch():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return 2.0 * float(np.sum(x))  # wrong shape for array input
+
+    pts = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(sample(f, pts), 2.0 * pts)
+    assert calls == [(3,), (), (), ()]
+
+
+def test_sample_names_first_nonfinite_point():
+    pts = np.array([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match="x=2.0"):
+        sample(lambda x: np.where(x >= 2.0, np.nan, x), pts)
+    with pytest.raises(DomainError, match="x=1.0"):
+        sample(lambda x: math.inf if x == 1.0 else 0.0, pts)
+
+
+# ---------------------------------------------------------------------------
+# ladder_rule: the one rule picker
+# ---------------------------------------------------------------------------
+
+def _same_rule(a, b):
+    return (np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+            and (a.lo, a.hi) == (b.lo, b.hi))
+
+
+def test_ladder_rule_substitutes_common_step():
+    rule = ladder_rule(16, (0.75, 1.5, 1.0), 0.0, 2.0, fallback_step=0.75)
+    assert _same_rule(rule, substituted_rule(16, 0.25, 2.0))
+    # x^(k/4) up to k = 31 integrates exactly on [0, 2]
+    for k in (1, 7, 31):
+        assert integrate(rule, lambda x: x ** (k / 4)) == pytest.approx(
+            frac_moment(0.0, 2.0, k / 4), rel=1e-13)
+
+
+def test_ladder_rule_fallback_step_for_incommensurable_exponents():
+    lam = 2**-0.5
+    exps = (0.5, lam, 2 * lam)
+    assert common_step(exps) is None
+    assert _same_rule(ladder_rule(16, exps, 0.0, 1.0, fallback_step=lam),
+                      substituted_rule(16, lam, 1.0))
+    # without a fallback the rule is plain Gauss-Legendre
+    assert _same_rule(ladder_rule(16, exps, 0.0, 1.0), gauss_legendre(16, 0.0, 1.0))
+
+
+def test_ladder_rule_step_outside_range_uses_fallback():
+    # the common step 3 of {3, 6} is too large for the substitution
+    assert _same_rule(ladder_rule(8, (3.0, 6.0), 0.0, 1.0, fallback_step=0.5),
+                      substituted_rule(8, 0.5, 1.0))
+    assert _same_rule(ladder_rule(8, (3.0, 6.0), 0.0, 1.0), gauss_legendre(8, 0.0, 1.0))
+
+
+def test_ladder_rule_positive_lo_is_gauss_legendre():
+    rule = ladder_rule(12, (0.5, 1.0), 0.5, 2.0, fallback_step=0.5)
+    assert _same_rule(rule, gauss_legendre(12, 0.5, 2.0))
