@@ -19,6 +19,7 @@ functional is the exact integral of the squared residual at the returned
 coefficients.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -65,6 +66,8 @@ class FracFunction:
         """Collect (coefficient, exponent) pairs, merging equal exponents."""
         acc = {}
         for c, e in pairs:
+            if not (math.isfinite(c) and math.isfinite(e)):
+                raise DomainError(f"terms must be finite, got {c} * x^{e}")
             e = _key(e)
             if e < 0:
                 raise DomainError(f"exponents must be >= 0, got {e}")
@@ -84,10 +87,7 @@ class FracFunction:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for e, c in self.terms:
-            if e == 0.0:
-                out = out + c
-            else:
-                out = out + c * x**e
+            out = out + c * x**e
         return float(out) if out.ndim == 0 else out
 
     def at_zero(self):
@@ -153,8 +153,12 @@ class FdeProblem:
         for a, _ in self.terms:
             if not 0 < a < 1:
                 raise DomainError(f"Caputo orders must lie in (0, 1), got {a}")
-        if not self.hi > 0:
-            raise DomainError("interval must be [0, hi] with hi > 0")
+        if not all(math.isfinite(v) for v in
+                   (*(c for _, c in self.terms), self.reaction, self.initial_value)):
+            raise DomainError("term coefficients, reaction and initial value must be "
+                              "finite")
+        if not (self.hi > 0 and math.isfinite(self.hi)):
+            raise DomainError("interval must be [0, hi] with finite hi > 0")
 
 
 def apply_operator(prob, p):

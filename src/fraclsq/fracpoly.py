@@ -7,11 +7,13 @@ in coefficient space.
 
 Also provides classical Jacobi polynomials and the two evaluation routes for
 Muntz-Legendre polynomials: the direct coefficient formula (factorially
-unstable for large degree, hence capped) and the Jacobi recurrence route
-(stable, the default).
+unstable for large degree, hence capped) and the Jacobi recurrence over arrays,
+which fills a table of rungs 0..n at every point (stable, the default).
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, UsageError
 
@@ -24,6 +26,7 @@ __all__ = [
     "jacobi_eval",
     "muntz_legendre_coeffs",
     "muntz_legendre_eval",
+    "muntz_legendre_rungs",
 ]
 
 #: largest degree index for the direct eta-coefficient construction;
@@ -53,18 +56,17 @@ class FractionalPolynomial:
         return frac_poly_eval(self, x)
 
 
+def _scalar_or_array(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
 def frac_poly_eval(p, x):
-    """Evaluate P(x) = sum_i a_i x^(i*lam); 0^0 := 1 so constants survive at 0."""
-    if x < 0:
-        raise DomainError(f"fractional polynomials are defined for x >= 0, got {x}")
-    if x == 0.0:
-        return p.coeffs[0]
-    # Horner in u = x^lam
-    u = x**p.lam
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * u + c
-    return acc
+    """Evaluate P(x) = sum_i a_i x^(i*lam) at a scalar or an array of x >= 0."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise DomainError(f"fractional polynomials take finite x >= 0, got {x}")
+    # Horner in u = x^lam; 0^lam = 0 leaves a_0 at x = 0
+    return _scalar_or_array(np.polyval(p.coeffs[::-1], x**p.lam))
 
 
 def frac_poly_shift_mul(p):
@@ -102,33 +104,38 @@ class JacobiParams:
             raise DomainError(f"Jacobi parameters must exceed -1, got {self}")
 
 
-def jacobi_eval(params, n, x):
-    """Jacobi polynomial P_n^(a,b)(x) on [-1, 1] by three-term recurrence.
+def _jacobi_rungs(a, b, n, t):
+    """Rung table of P_0^(a,b) .. P_n^(a,b): row k holds P_k at every t.
 
-    P_0 = 1, P_1 = ((a-b) + (a+b+2) x) / 2, and for n >= 1
+    P_0 = 1, P_1 = ((a-b) + (a+b+2) t) / 2, and for k >= 1
 
-        c1_n P_{n+1} = c2_n(x) P_n - c3_n P_{n-1}
+        c1_k P_{k+1} = c2_k(t) P_k - c3_k P_{k-1}
 
-    with c1_n = 2(n+1)(n+a+b+1)(2n+a+b),
-         c2_n(x) = (2n+a+b+1)[(2n+a+b)(2n+a+b+2) x + a^2 - b^2],
-         c3_n = 2(n+a)(n+b)(2n+a+b+2).
+    with c1_k = 2(k+1)(k+a+b+1)(2k+a+b),
+         c2_k(t) = (2k+a+b+1)[(2k+a+b)(2k+a+b+2) t + a^2 - b^2],
+         c3_k = 2(k+a)(k+b)(2k+a+b+2).
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"Jacobi polynomials are evaluated on [-1, 1], got {x}")
-    a, b = params.a, params.b
-    p_prev = 1.0
-    if n == 0:
-        return p_prev
-    p_cur = 0.5 * ((a - b) + (a + b + 2) * x)
+    rows = np.empty((n + 1,) + t.shape)
+    rows[0] = 1.0
+    if n >= 1:
+        rows[1] = 0.5 * ((a - b) + (a + b + 2) * t)
     for k in range(1, n):
         s = 2 * k + a + b
         c1 = 2 * (k + 1) * (k + a + b + 1) * s
-        c2 = (s + 1) * (s * (s + 2) * x + a * a - b * b)
+        c2 = (s + 1) * (s * (s + 2) * t + a * a - b * b)
         c3 = 2 * (k + a) * (k + b) * (s + 2)
-        p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-    return p_cur
+        rows[k + 1] = (c2 * rows[k] - c3 * rows[k - 1]) / c1
+    return rows
+
+
+def jacobi_eval(params, n, x):
+    """Jacobi polynomial P_n^(a,b)(x) on [-1, 1] by three-term recurrence."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= -1.0) & (x <= 1.0)):
+        raise DomainError(f"Jacobi polynomials are evaluated on [-1, 1], got {x}")
+    return _scalar_or_array(_jacobi_rungs(params.a, params.b, n, x)[n])
 
 
 def muntz_legendre_coeffs(n, lam):
@@ -163,17 +170,20 @@ def muntz_legendre_coeffs(n, lam):
     return FractionalPolynomial(lam, tuple(coeffs))
 
 
-def muntz_legendre_eval(n, lam, x):
-    """Evaluate L_n(x; lam) through the Jacobi representation.
-
-    L_n(x; lam) = P_n^(0, 1/lam - 1)(2 x^lam - 1), which stays stable where
-    the direct coefficient sum cancels catastrophically.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"Muntz-Legendre polynomials live on [0, 1], got x={x}")
+def muntz_legendre_rungs(n, lam, x):
+    """Rung table of L_0(x; lam) .. L_n(x; lam) at finite x >= 0, through
+    L_n(x; lam) = P_n^(0, 1/lam - 1)(2 x^lam - 1): stable where the direct
+    coefficient sum cancels, and past x = 1 it extrapolates the polynomials."""
     if not 0.0 < lam <= 2.0:
         raise DomainError(f"lambda must lie in (0, 2], got {lam}")
-    t = 2.0 * x**lam - 1.0
-    # guard rounding that would push the argument a hair outside [-1, 1]
-    t = min(1.0, max(-1.0, t))
-    return jacobi_eval(JacobiParams(0.0, 1.0 / lam - 1.0), n, t)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise DomainError(f"Muntz-Legendre polynomials take finite x >= 0, got x={x}")
+    return _jacobi_rungs(0.0, 1.0 / lam - 1.0, n, 2.0 * x**lam - 1.0)
+
+
+def muntz_legendre_eval(n, lam, x):
+    """Evaluate L_n(x; lam) on [0, 1] through the Jacobi representation."""
+    if not np.all(np.asarray(x) <= 1.0):
+        raise DomainError(f"Muntz-Legendre polynomials live on [0, 1], got x={x}")
+    return _scalar_or_array(muntz_legendre_rungs(n, lam, x)[n])

@@ -20,7 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConditioningError, DomainError, UsageError
-from .fracpoly import FractionalPolynomial, frac_poly_linear_combine, muntz_legendre_eval
+from .fracpoly import (
+    FractionalPolynomial,
+    frac_poly_linear_combine,
+    muntz_legendre_coeffs,
+    muntz_legendre_rungs,
+)
 from .orthobasis import OrthogonalBasis
 from .solvers import solve_normal_equations
 from . import quadrature as quad
@@ -184,13 +189,9 @@ def fit_projection(target, basis):
         yvals = quad.sample(target, basis.points)
 
     w = basis.ip_weights
-    n = basis.degree_index
-    coeffs = np.empty(n + 1)
-    fitted = np.zeros_like(basis.points)
-    for i, lvals in enumerate(basis.ladder_values(basis.points)):
-        coeffs[i] = float(np.sum(w * yvals * lvals)) / basis.sq_norms[i]
-        fitted += coeffs[i] * lvals
-    resid = yvals - fitted
+    R = basis.ladder_values(basis.points)
+    coeffs = R @ (w * yvals) / np.asarray(basis.sq_norms)
+    resid = yvals - R.T @ coeffs
     error = float(np.sum(w * resid * resid))
     lo = float(basis.points.min()) if basis.mode == "discrete" else 0.0
     hi = float(basis.points.max()) if basis.mode == "discrete" else 1.0
@@ -199,24 +200,20 @@ def fit_projection(target, basis):
 
 
 def predict(fit, x):
-    """Evaluate the fitted expansion at x >= 0 (extrapolation allowed)."""
+    """Evaluate the fitted expansion at finite x >= 0 (extrapolation allowed)."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < 0):
-        raise DomainError("fits evaluate on x >= 0 only")
+    if not np.all(np.isfinite(xa) & (xa >= 0)):
+        raise DomainError("fits evaluate at finite x >= 0 only")
     if fit.basis == "monomial":
         V = _monomial_values(fit.lam, len(fit.coeffs) - 1, xa)
-        out = V @ fit.coeffs
     elif fit.basis == "muntz_legendre":
-        out = np.zeros_like(xa)
-        for i, a in enumerate(fit.coeffs):
-            out += a * np.array([muntz_legendre_eval(i, fit.lam, t) for t in xa])
+        V = muntz_legendre_rungs(len(fit.coeffs) - 1, fit.lam, xa).T
     elif fit.basis == "orthogonal":
-        out = np.zeros_like(xa)
-        for a, lvals in zip(fit.coeffs, fit.basis_ref.ladder_values(xa)):
-            out += a * lvals
+        V = fit.basis_ref.ladder_values(xa).T
     else:
         raise UsageError(f"unknown basis descriptor {fit.basis!r}")
+    out = V @ fit.coeffs
     return float(out[0]) if scalar else out
 
 
@@ -227,8 +224,6 @@ def expand_to_monomial(fit):
     if fit.basis == "orthogonal":
         polys = list(fit.basis_ref.polys)
     elif fit.basis == "muntz_legendre":
-        from .fracpoly import muntz_legendre_coeffs
-
         polys = [muntz_legendre_coeffs(i, fit.lam) for i in range(len(fit.coeffs))]
     else:
         raise UsageError(f"unknown basis descriptor {fit.basis!r}")

@@ -101,27 +101,23 @@ class OrthogonalBasis:
         return len(self.polys) - 1
 
     def ladder_values(self, x):
-        """Values of L_0..L_n at x through the three-term recurrence.
-
-        Stable at high degree, unlike expanding the (huge, alternating)
-        ladder coefficients.
-        """
+        """Rung table of L_0..L_n at x (row i holds L_i at every point), filled
+        in place by the three-term recurrence: stable at high degree, unlike
+        expanding the (huge, alternating) ladder coefficients."""
         x = np.asarray(x, dtype=float)
         t = x**self.lam
-        vals = [np.ones_like(x)]
-        for i in range(1, self.degree_index + 1):
-            if i == 1:
-                vals.append(t - self.B[0])
-            else:
-                vals.append((t - self.B[i - 1]) * vals[i - 1]
-                            - self.C[i - 2] * vals[i - 2])
-        return vals
+        rows = np.empty((self.degree_index + 1,) + x.shape)
+        rows[0] = 1.0
+        if self.degree_index >= 1:
+            rows[1] = t - self.B[0]
+        for i in range(2, self.degree_index + 1):
+            rows[i] = (t - self.B[i - 1]) * rows[i - 1] - self.C[i - 2] * rows[i - 2]
+        return rows
 
     def inner(self, f, g=None):
         """Inner product <f, g>_W under this basis's discretization."""
-        fv = _eval_on(f, self.points)
-        gv = _eval_on(g, self.points) if g is not None else np.ones_like(self.points)
-        return float(np.sum(self.ip_weights * fv * gv))
+        return inner_product(f, 1.0 if g is None else g, points=self.points,
+                             weights=self.ip_weights)
 
 
 def _eval_on(f, points):

@@ -8,6 +8,7 @@ variates come from a counter-based Philox generator keyed by the job seed,
 which makes every run bit-reproducible.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +40,9 @@ class GbmConfig:
     budget: int = 10_000_000
 
     def __post_init__(self):
+        for name in ("s0", "r", "sigma", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s0 <= 0:
             raise DomainError(f"initial price must be positive, got {self.s0}")
         if self.sigma < 0:
@@ -64,8 +68,8 @@ class LsmcJob:
     basis_degree: int = 2
 
     def __post_init__(self):
-        if self.strike <= 0:
-            raise DomainError(f"strike must be positive, got {self.strike}")
+        if not (self.strike > 0 and math.isfinite(self.strike)):
+            raise DomainError(f"strike must be positive and finite, got {self.strike}")
         if not 0 < self.lam <= 2:
             raise DomainError(f"lambda must lie in (0, 2], got {self.lam}")
         if self.basis_degree < 1:

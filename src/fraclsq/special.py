@@ -5,6 +5,7 @@ concurrently.
 """
 
 import math
+import sys
 
 from .errors import ConvergenceError, DomainError
 
@@ -14,6 +15,8 @@ __all__ = ["gamma", "mittag_leffler"]
 _ML_RTOL = 1e-16
 #: hard cap on the number of Mittag-Leffler series terms
 _ML_MAX_TERMS = 500
+#: largest rounding error eps * max|term| accepted, relative to the sum
+_ML_CANCELLATION = 1e-8
 
 
 def gamma(x):
@@ -41,7 +44,10 @@ def mittag_leffler(alpha, z):
     with the Gamma ratio evaluated in log space, so no intermediate
     overflows for the supported range |z| <= 50.  Summation stops once a
     term drops below 1e-16 of the partial sum; if 500 terms are not
-    enough the series is declared non-convergent.
+    enough the series is declared non-convergent.  On the negative axis
+    the alternating terms can dwarf the sum: when eps * max|term| exceeds
+    1e-8 * |sum| the cancellation has eaten the answer and the call raises
+    ConvergenceError instead (this never happens for z >= 0).
     """
     if not (alpha > 0) or not math.isfinite(alpha):
         raise DomainError(f"mittag_leffler: alpha must be positive, got {alpha}")
@@ -52,15 +58,22 @@ def mittag_leffler(alpha, z):
 
     total = 1.0  # k = 0 term
     term = 1.0
+    largest = 1.0
     for k in range(1, _ML_MAX_TERMS + 1):
         ratio = math.exp(math.lgamma(alpha * (k - 1) + 1) - math.lgamma(alpha * k + 1))
         term = term * z * ratio
         total += term
+        largest = max(largest, abs(term))
         if not math.isfinite(total):
             raise ConvergenceError(
                 f"mittag_leffler: series overflowed at term {k} (alpha={alpha}, z={z})"
             )
         if abs(term) <= _ML_RTOL * abs(total):
+            if sys.float_info.epsilon * largest > _ML_CANCELLATION * abs(total):
+                raise ConvergenceError(
+                    f"mittag_leffler: cancellation in the series (largest term "
+                    f"{largest:.3e}, sum {total:.3e}; alpha={alpha}, z={z})"
+                )
             return total
     raise ConvergenceError(
         f"mittag_leffler: no convergence within {_ML_MAX_TERMS} terms "

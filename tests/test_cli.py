@@ -261,6 +261,39 @@ def test_price_smoke(capsys):
     assert doc["price"] == pytest.approx(11.1, abs=1.0)
 
 
+_FDE = ["solve-fde", "--alphas", "0.5", "--rhs", "fde-single-rhs", "--lambda", "0.5",
+        "--degree", "2"]
+_PRICE = ["price", "--s0", "38", "--rate", "0.05", "--sigma", "0.71", "--strike", "48",
+          "--horizon", "0.5", "--steps", "4", "--paths", "100", "--lambda", "0.75"]
+
+
+def _with(base, flag, value):
+    args = list(base)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    return args
+
+
+@pytest.mark.parametrize("args,named", [
+    (_with(_FDE, "--y0", "nan"), "initial value"),
+    (_with(_FDE, "--reaction", "inf"), "reaction"),
+    (_with(_FDE, "--term-coeffs", "nan"), "coefficients"),
+    (_with(_PRICE, "--s0", "nan"), "s0"),
+    (_with(_PRICE, "--rate", "nan"), "r must be finite"),
+    (_with(_PRICE, "--horizon", "inf"), "horizon"),
+    (_with(_PRICE, "--strike", "inf"), "strike"),
+    (["fit", "--function", "x15", "--lambda", "0.5", "--degree", "2", "--predict", "nan"],
+     "finite"),
+])
+def test_nonfinite_options_are_input_errors(args, named, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == "" and named in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # reproduce / noise
 # ---------------------------------------------------------------------------

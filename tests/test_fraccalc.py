@@ -241,6 +241,40 @@ def test_quadrature_path_on_wider_interval_recovers_ladder_solution():
     assert np.max(np.abs(predict(fit, xs) - y(xs))) <= 1e-8
 
 
+def test_muntz_legendre_fit_predicts_past_one():
+    # the same problem in the Muntz-Legendre basis: hi = 2 fits must
+    # evaluate on all of [0, 2], not only where x^lam <= 1
+    bare = FdeProblem(terms=((0.5, 1.0),), reaction=1.0, hi=2.0)
+    y = FracFunction.from_terms([(2.0, 1.0), (-1.0, 1.5)])
+    prob = FdeProblem(terms=bare.terms, reaction=1.0, rhs=apply_operator(bare, y),
+                      hi=2.0)
+    ml = solve_fde(prob, 0.5, 4, basis_kind="muntz_legendre")
+    mono = solve_fde(prob, 0.5, 4)
+    assert ml.hi == 2.0
+    assert predict(ml, 1.5) == pytest.approx(predict(mono, 1.5), abs=1e-8)
+    assert predict(ml, 1.5) == pytest.approx(y(1.5), abs=1e-8)
+    xs = np.linspace(0.0, 2.0, 17)
+    assert np.max(np.abs(predict(ml, xs) - y(xs))) <= 1e-8
+
+
+@pytest.mark.parametrize("kw", [
+    {"initial_value": np.nan}, {"reaction": np.inf}, {"reaction": np.nan},
+    {"terms": ((0.5, np.nan),)}, {"terms": ((0.5, 1.0), (0.25, -np.inf))},
+    {"hi": np.inf},
+])
+def test_problem_rejects_nonfinite_numbers(kw):
+    base = {"terms": ((0.5, 1.0),), "rhs": FracFunction.from_terms([(1.0, 0.0)])}
+    with pytest.raises(DomainError, match="finite"):
+        FdeProblem(**{**base, **kw})
+
+
+@pytest.mark.parametrize("pair", [(np.nan, 1.0), (np.inf, 0.5), (1.0, np.inf),
+                                  (1.0, np.nan)])
+def test_frac_function_rejects_nonfinite_terms(pair):
+    with pytest.raises(DomainError, match="finite"):
+        FracFunction.from_terms([(1.0, 0.0), pair])
+
+
 def test_quadrature_path_rejects_nonfinite_rhs():
     prob = FdeProblem(terms=((0.5, 1.0),), rhs=lambda x: np.log(x - 0.5))
     with pytest.raises(DomainError, match="not finite"), np.errstate(invalid="ignore"):

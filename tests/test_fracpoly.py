@@ -17,6 +17,7 @@ from fraclsq import (
     muntz_legendre_eval,
     substituted_rule,
 )
+from fraclsq.fracpoly import muntz_legendre_rungs
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +235,82 @@ def test_muntz_orthogonality(lam):
                  for t in np.atleast_1d(x)]))
             want = 1.0 / (2 * n * lam + 1) if n == m else 0.0
             assert val == pytest.approx(want, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# evaluation over arrays: rung tables
+# ---------------------------------------------------------------------------
+
+def _jacobi_scalar(a, b, n, x):
+    # the recurrence in plain Python floats, constants in the library's order
+    p_prev, p_cur = 1.0, 0.5 * ((a - b) + (a + b + 2) * x)
+    if n == 0:
+        return p_prev
+    for k in range(1, n):
+        s = 2 * k + a + b
+        c1 = 2 * (k + 1) * (k + a + b + 1) * s
+        c2 = (s + 1) * (s * (s + 2) * x + a * a - b * b)
+        c3 = 2 * (k + a) * (k + b) * (s + 2)
+        p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
+    return p_cur
+
+
+def test_jacobi_scalar_values_are_the_plain_recurrence_bits():
+    for a, b in ((0.0, 1.0), (0.0, 1.0 / 0.75 - 1.0), (1.3, -0.4)):
+        for n in range(12):
+            for x in np.linspace(-1, 1, 13):
+                got = jacobi_eval(JacobiParams(a, b), n, float(x))
+                assert type(got) is float
+                assert got == _jacobi_scalar(a, b, n, float(x))
+
+
+def test_array_evaluation_matches_scalar_calls():
+    ts = np.linspace(-1.0, 1.0, 37)
+    xs = np.linspace(0.0, 1.0, 37)
+    params = JacobiParams(0.4, -0.3)
+    for n in range(12):
+        np.testing.assert_allclose(
+            jacobi_eval(params, n, ts), [jacobi_eval(params, n, float(t)) for t in ts],
+            rtol=1e-14, atol=0)
+        for lam in (0.3, 0.75, 1.39):
+            np.testing.assert_allclose(
+                muntz_legendre_eval(n, lam, xs),
+                [muntz_legendre_eval(n, lam, float(x)) for x in xs], rtol=1e-14, atol=0)
+    p = FractionalPolynomial(0.7, (0.3, -1.2, 2.5, 0.8))
+    np.testing.assert_allclose(frac_poly_eval(p, xs), [frac_poly_eval(p, float(x)) for x in xs],
+                               rtol=1e-14, atol=0)
+    assert frac_poly_eval(p, xs.reshape(37, 1)).shape == (37, 1)
+    assert frac_poly_eval(FractionalPolynomial(0.5, (2.0,)), xs).tolist() == [2.0] * 37
+
+
+def test_array_evaluators_keep_their_domains():
+    with pytest.raises(DomainError):
+        jacobi_eval(JacobiParams(0.0, 0.0), 2, np.array([0.0, 1.5]))
+    with pytest.raises(DomainError):
+        muntz_legendre_eval(2, 0.5, np.array([0.5, 1.2]))
+    with pytest.raises(DomainError):
+        muntz_legendre_eval(2, 0.5, np.array([0.5, np.nan]))
+    with pytest.raises(DomainError):
+        frac_poly_eval(FractionalPolynomial(0.5, (1.0, 1.0)), np.array([0.5, -0.1]))
+    with pytest.raises(DomainError):
+        frac_poly_eval(FractionalPolynomial(0.5, (1.0, 1.0)), np.inf)
+
+
+def test_muntz_rungs_table_rows_and_extrapolation():
+    lam, n = 0.75, 8
+    xs = np.linspace(0.0, 1.0, 21)
+    table = muntz_legendre_rungs(n, lam, xs)
+    assert table.shape == (n + 1, len(xs))
+    for i in range(n + 1):
+        assert np.array_equal(table[i], muntz_legendre_eval(i, lam, xs))
+    # past x = 1 the rows continue the polynomials given by their coefficients
+    far = np.array([1.25, 1.5, 2.0, 3.0])
+    table = muntz_legendre_rungs(n, lam, far)
+    for i in range(n + 1):
+        want = frac_poly_eval(muntz_legendre_coeffs(i, lam), far)
+        np.testing.assert_allclose(table[i], want, rtol=1e-11)
+    for bad in (-0.1, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            muntz_legendre_rungs(n, lam, np.array([0.5, bad]))
+    with pytest.raises(DomainError):
+        muntz_legendre_rungs(-1, lam, xs)

@@ -17,7 +17,9 @@ from fraclsq import (
     fit_continuous_normal,
     fit_discrete_normal,
     fit_projection,
+    FitResult,
     frac_poly_eval,
+    muntz_legendre_eval,
     predict,
     substituted_rule,
 )
@@ -227,6 +229,44 @@ def test_predict_extrapolates_and_guards_domain():
     assert predict(fit, 10.0) == pytest.approx(100.0, rel=1e-9)
     with pytest.raises(DomainError):
         predict(fit, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, [0.5, math.nan], [-math.inf]])
+def test_predict_rejects_nonfinite_x(bad):
+    fit = fit_discrete_normal(DataSet([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]), 1.0, 2)
+    ml = FitResult("muntz_legendre", 0.5, [1.0, 2.0], 0.0, 1.0)
+    for f in (fit, ml):
+        with pytest.raises(DomainError, match="finite"):
+            predict(f, bad)
+
+
+def test_predict_muntz_legendre_is_the_coefficient_sum():
+    rng = np.random.default_rng(11)
+    xs = np.linspace(0.0, 1.0, 101)
+    for lam, n in ((0.3, 10), (0.75, 6), (1.39, 12)):
+        fit = FitResult("muntz_legendre", lam, rng.standard_normal(n + 1), 0.0, 1.0)
+        want = sum(a * np.array([muntz_legendre_eval(i, lam, float(x)) for x in xs])
+                   for i, a in enumerate(fit.coeffs))
+        got = predict(fit, xs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert predict(fit, 0.5) == pytest.approx(got[50], rel=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_projection_coefficients_are_inner_product_ratios(mode):
+    y = lookup("x075+x15").fn
+    if mode == "discrete":
+        xs = np.linspace(0.02, 1.0, 200)
+        basis = build_discrete(np.linspace(0.5, 2.0, 200), xs, 0.5, 5)
+        fit = fit_projection(DataSet(xs, y(xs)), basis)
+    else:
+        basis = build_continuous(WeightSpec.jacobi(0.0, -0.5), 0.5, 5)
+        fit = fit_projection(y, basis)
+    rows = basis.ladder_values(basis.points)
+    want = np.array([basis.inner(y, rows[i]) / basis.sq_norms[i] for i in range(len(rows))])
+    # both sides sum N products, in different orders: compare on the
+    # coefficients' scale, since a small coefficient comes out of cancellation
+    assert np.max(np.abs(fit.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_add_noise_identity_and_determinism():

@@ -228,3 +228,15 @@ def test_basis_inner_positive_norm():
                       lambda x: _poly_vals(l1, np.atleast_1d(x)))
     assert val > 0
     assert val == pytest.approx(basis.sq_norms[1], rel=1e-12)
+
+
+def test_ladder_values_is_a_rung_table():
+    basis = build_continuous(WeightSpec.unit(), 0.75, 4)
+    xs = np.linspace(0.0, 1.0, 9)
+    table = basis.ladder_values(xs)
+    assert table.shape == (5, 9)
+    assert len(table) == 5
+    for row, poly in zip(table, basis.polys):
+        np.testing.assert_allclose(row, _poly_vals(poly, xs), rtol=1e-12, atol=1e-12)
+    assert basis.ladder_values(0.5).shape == (5,)
+    assert np.array_equal(basis.ladder_values(xs.reshape(3, 3)), table.reshape(5, 3, 3))

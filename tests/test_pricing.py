@@ -116,3 +116,16 @@ def test_job_validation():
         LsmcJob(gbm=_cfg(), strike=48.0, lam=2.5)
     with pytest.raises(DomainError):
         GbmConfig(s0=-1.0, r=0.0, sigma=0.1, horizon=1.0, steps=1, paths=1)
+
+
+@pytest.mark.parametrize("field", ["s0", "r", "sigma", "horizon"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gbm_config_rejects_nonfinite(field, bad):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        _cfg(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_job_rejects_nonfinite_strike(bad):
+    with pytest.raises(DomainError, match="strike"):
+        LsmcJob(gbm=_cfg(), strike=bad, lam=1.0)

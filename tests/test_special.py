@@ -68,3 +68,22 @@ def test_mittag_leffler_nonconvergent():
     # the partial sums overflow (or the cap trips) long before convergence
     with pytest.raises(ConvergenceError):
         mittag_leffler(0.2, 50.0)
+
+
+@pytest.mark.parametrize("alpha,z", [(1.0, -40.0), (0.5, -10.0), (1.0, -20.0)])
+def test_mittag_leffler_refuses_cancelled_sums(alpha, z):
+    # the series' alternating terms dwarf the true values (4.2e-18, 0.0561,
+    # 2.1e-9): summing them returns noise
+    with pytest.raises(ConvergenceError, match="cancellation"):
+        mittag_leffler(alpha, z)
+
+
+@pytest.mark.parametrize("alpha,z", [(0.5, -1.0), (0.5, -3.0), (0.8, -6.0), (1.0, -8.0),
+                                     (1.5, -10.0), (2.0, -30.0)])
+def test_mittag_leffler_negative_axis_against_mpmath(alpha, z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        want = mpmath.nsum(lambda k: mpmath.mpf(z) ** k / mpmath.gamma(alpha * k + 1),
+                           [0, mpmath.inf])
+    # the guard admits rounding up to 1e-8 of the sum
+    assert mittag_leffler(alpha, z) == pytest.approx(float(want), rel=1e-7)
