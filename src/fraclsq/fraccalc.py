@@ -17,6 +17,11 @@ equations solved with exact-residual refinement, so a solution that lies in
 the basis span is recovered to the last bit and the reported error
 functional is the exact integral of the squared residual at the returned
 coefficients.
+
+The exact moments are integer matrix products: all functions of one Gram
+matrix are written over one shared exponent set, the kernel 1/(e_a + e_b + 1)
+becomes integer weights over the lcm of the distinct exponent sums, and each
+entry is one Fraction built from Python ints (see ``_exact_gram``).
 """
 
 import math
@@ -172,13 +177,40 @@ def apply_operator(prob, p):
     return FracFunction.from_terms(parts)
 
 
-def _exact_pairing(f, g):
-    """<f, g> over [0, 1] in exact rational arithmetic."""
-    s = Fraction(0)
-    for e1, c1 in f.terms:
-        for e2, c2 in g.terms:
-            s += Fraction(c1) * Fraction(c2) / (Fraction(e1) + Fraction(e2) + 1)
-    return s
+def _exact_gram(fs, gs):
+    """[[<f, g> for g in gs] for f in fs] over [0, 1], exact, as Fractions.
+
+    Every function is written over one sorted shared exponent set with
+    e_a = P_a / Q exactly (Q the largest power-of-two denominator), so
+    1/(e_a + e_b + 1) = Q / s_ab with s_ab = P_a + P_b + Q.  With L the lcm
+    of the distinct sums and coefficients scaled to integers over one power
+    of two per side (Sf, Sg), the whole matrix is the integer product
+    Q * (Mf W Mg^T) / (L Sf Sg) with W_ab = L // s_ab.
+    """
+    exps = sorted({e for h in (*fs, *gs) for e, _ in h.terms})
+    col = {e: a for a, e in enumerate(exps)}
+    ratios = [e.as_integer_ratio() for e in exps]
+    Q = max((q for _, q in ratios), default=1)
+    P = np.array([p * (Q // q) for p, q in ratios], dtype=object)
+    sums = P[:, None] + P[None, :] + Q
+    distinct = set(sums.flat)
+    L = math.lcm(*distinct)
+    weight = {s: L // s for s in distinct}
+    W = np.array([weight[s] for s in sums.flat], dtype=object).reshape(sums.shape)
+
+    def integer_coeffs(hs):
+        S = max((c.as_integer_ratio()[1] for h in hs for _, c in h.terms), default=1)
+        M = np.zeros((len(hs), len(exps)), dtype=object)
+        for i, h in enumerate(hs):
+            for e, c in h.terms:
+                p, q = c.as_integer_ratio()
+                M[i, col[e]] = p * (S // q)
+        return M, S
+
+    Mf, Sf = integer_coeffs(fs)
+    Mg, Sg = integer_coeffs(gs)
+    den = L * Sf * Sg
+    return [[Fraction(Q * v, den) for v in row] for row in (Mf @ W @ Mg.T).tolist()]
 
 
 def _basis(lam, n, kind):
@@ -216,9 +248,8 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
     exact_ok = isinstance(prob.rhs, FracFunction) and rule is None and prob.hi == 1.0
     if exact_ok:
         F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
-        Gq = [[_exact_pairing(psis[i], psis[j]) for j in range(n + 1)]
-              for i in range(n + 1)]
-        dq = [_exact_pairing(psi, F) for psi in psis]
+        Gq = _exact_gram(psis, psis)
+        dq = [row[0] for row in _exact_gram(psis, [F])]
         G = np.array([[float(v) for v in row] for row in Gq])
         d = np.array([float(v) for v in dq])
         try:
@@ -233,7 +264,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
             [(a * c, e) for a, psi in zip(coeffs, psis) for c, e in psi.coeff_pairs]
             + [(-c, e) for c, e in F.coeff_pairs]
         )
-        error = float(_exact_pairing(resid, resid))
+        error = float(_exact_gram([resid], [resid])[0][0])
     else:
         if rule is None:
             # the x^step substitution makes the residual integrands exactly

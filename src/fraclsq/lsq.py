@@ -193,10 +193,8 @@ def fit_projection(target, basis):
     coeffs = R @ (w * yvals) / np.asarray(basis.sq_norms)
     resid = yvals - R.T @ coeffs
     error = float(np.sum(w * resid * resid))
-    lo = float(basis.points.min()) if basis.mode == "discrete" else 0.0
-    hi = float(basis.points.max()) if basis.mode == "discrete" else 1.0
     return FitResult("orthogonal", basis.lam, coeffs, max(error, 0.0), 1.0,
-                     lo, hi, basis_ref=basis)
+                     basis.lo, basis.hi, basis_ref=basis)
 
 
 def predict(fit, x):

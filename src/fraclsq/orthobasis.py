@@ -15,6 +15,7 @@ of point/weight arrays, and polynomial arithmetic happens exactly in ladder
 coefficient space (multiplying by x^lam is an index shift).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -57,6 +58,9 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("unit", "jacobi", "callable"):
             raise DomainError(f"unknown weight kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in
+                   (self.lo, self.hi, self.beta_left, self.beta_right)):
+            raise DomainError("weight interval and exponents must be finite")
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.kind == "jacobi" and not (self.beta_left > -1 and self.beta_right > -1):
@@ -85,6 +89,8 @@ class OrthogonalBasis:
     ``points``/``ip_weights`` carry the discretized inner product the basis
     was built against (quadrature nodes or data points, weight folded in),
     so callers can project onto the basis without re-deriving anything.
+    ``lo``/``hi`` is the interval the basis lives on: the weight's interval
+    in continuous mode, the span of the points in discrete mode.
     """
 
     lam: float
@@ -95,6 +101,8 @@ class OrthogonalBasis:
     mode: str
     points: np.ndarray
     ip_weights: np.ndarray
+    lo: float
+    hi: float
 
     @property
     def degree_index(self):
@@ -166,7 +174,7 @@ def default_rule(weight, lam, quad_points=DEFAULT_QUAD_POINTS):
     return quad.QuadratureRule(base.nodes, base.weights * wvals, lo, hi, "callable")
 
 
-def _recurrence(points, w, lam, n, mode):
+def _recurrence(points, w, lam, n, mode, lo, hi):
     t = points**lam
     polys = [FractionalPolynomial(lam, (1.0,))]
     vals = [np.ones_like(points)]
@@ -199,7 +207,7 @@ def _recurrence(points, w, lam, n, mode):
             )
     return OrthogonalBasis(
         lam=lam, polys=tuple(polys), B=tuple(Bs), C=tuple(Cs),
-        sq_norms=tuple(sq), mode=mode, points=points, ip_weights=w,
+        sq_norms=tuple(sq), mode=mode, points=points, ip_weights=w, lo=lo, hi=hi,
     )
 
 
@@ -216,7 +224,8 @@ def build_continuous(weight, lam, n, rule=None, quad_points=DEFAULT_QUAD_POINTS)
         raise DomainError(f"lambda must lie in (0, 2], got {lam}")
     if rule is None:
         rule = default_rule(weight, lam, max(quad_points, 2 * n + 8))
-    return _recurrence(rule.nodes, rule.weights, lam, n, "continuous")
+    return _recurrence(rule.nodes, rule.weights, lam, n, "continuous",
+                       float(weight.lo), float(weight.hi))
 
 
 def build_discrete(weight_values, points, lam, n):
@@ -246,4 +255,4 @@ def build_discrete(weight_values, points, lam, n):
             raise UsageError("weight_values and points must have equal length")
         if np.any(w <= 0):
             raise DomainError("weight values must be strictly positive")
-    return _recurrence(pts, w, lam, n, "discrete")
+    return _recurrence(pts, w, lam, n, "discrete", float(pts.min()), float(pts.max()))

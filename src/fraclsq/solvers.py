@@ -5,15 +5,17 @@ the solve is made stability-aware in two cheap ways:
 
 * Jacobi equilibration D^-1/2 A D^-1/2 before factorization, which strips
   the scale disparity of mixed-exponent moment sums;
-* iterative refinement with residuals accumulated in exact rational
-  arithmetic, which drives the forward error of the returned solution to
-  the last bit whenever eps * cond(A) < 1.
+* iterative refinement with exact residuals, which drives the forward
+  error of the returned solution to the last bit whenever eps * cond(A) < 1.
+  The system is brought once to integers over one common denominator, so
+  each residual is one integer matrix-vector product and one correctly
+  rounded division per entry.
 
 The reported condition estimate always refers to the raw, un-equilibrated
 matrix: it is the diagnostic the caller uses to compare basis choices.
 """
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -32,10 +34,21 @@ def condition_estimate(A):
         return float("inf")
 
 
-def _as_fractions(M):
-    if M.ndim == 1:
-        return [Fraction(v) for v in M.tolist()]
-    return [[Fraction(v) for v in row] for row in M.tolist()]
+def _exact_residual(A, b):
+    """x -> b - A x, exact then correctly rounded, for entries with
+    ``as_integer_ratio`` (floats, Fractions): with A = An / D, b = bn / D and
+    x = X / K (K a power of two), r = (K bn - An X) / (D K)."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in (*A, b)]
+    D = math.lcm(*(q for row in ratios for _, q in row))
+    ints = np.array([[p * (D // q) for p, q in row] for row in ratios], dtype=object)
+    An, bn = ints[:-1], ints[-1]
+
+    def residual(x):
+        xr = [v.as_integer_ratio() for v in x.tolist()]
+        K = max(q for _, q in xr)
+        X = np.array([p * (K // q) for p, q in xr], dtype=object)
+        return ((K * bn - An @ X) / (D * K)).astype(float)
+    return residual
 
 
 def solve_normal_equations(A, b, exact_A=None, exact_b=None,
@@ -55,7 +68,6 @@ def solve_normal_equations(A, b, exact_A=None, exact_b=None,
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = len(b)
     cond = condition_estimate(A)
 
     # equilibrate: As = D A D with D = diag(1/sqrt(diag A))
@@ -99,15 +111,11 @@ def solve_normal_equations(A, b, exact_A=None, exact_b=None,
             f"normal-equation solution is non-finite (cond~{cond:.3e})", cond=cond
         )
 
-    Aq = exact_A if exact_A is not None else _as_fractions(A)
-    bq = exact_b if exact_b is not None else _as_fractions(b)
+    residual = _exact_residual(A.tolist() if exact_A is None else exact_A,
+                               b.tolist() if exact_b is None else exact_b)
     best_x, best_rnorm = x, float("inf")
     for _ in range(_MAX_REFINE):
-        xq = [Fraction(v) for v in x.tolist()]
-        r = np.array(
-            [float(bq[i] - sum(Aq[i][j] * xq[j] for j in range(n))) for i in range(n)],
-            dtype=float,
-        )
+        r = residual(x)
         rnorm = float(np.linalg.norm(r))
         if rnorm < best_rnorm:
             best_x, best_rnorm = x, rnorm

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +362,40 @@ def test_noise_roundtrip(tmp_path, sales_csv, capsys):
 
 def test_unknown_verb_is_input_error(capsys):
     assert run_cli(["frobnicate"], capsys)[0] == 2
+
+
+def test_continuous_projection_reports_weight_interval(capsys, tmp_path):
+    curve = tmp_path / "curve.csv"
+    code, out, _ = run_cli(
+        ["fit", "--function", "x15", "--interval", "0.5:2", "--method", "projection",
+         "--lambda", "0.5", "--degree", "2", "--curve-out", str(curve)], capsys)
+    assert code == 0
+    assert json.loads(out)["interval"] == [0.5, 2.0]
+    xs = [float(line.split(",")[0]) for line in curve.read_text().splitlines()[1:]]
+    assert (xs[0], xs[-1]) == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("weight,interval", [
+    ("jacobi:0:inf", "0:1"),
+    ("jacobi:nan:0", "0:1"),
+    ("unit", "0:inf"),
+    ("jacobi:0:0", "nan:1"),
+])
+def test_orthpoly_nonfinite_weight_is_input_error(weight, interval, capsys):
+    code, out, err = run_cli(
+        ["orthpoly", "--weight", weight, "--interval", interval, "--lambda", "0.5",
+         "--degree", "2"], capsys)
+    assert code == 2
+    assert out == "" and "finite" in err
+    assert "Traceback" not in err
+
+
+def test_python_m_fraclsq_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fraclsq", "reproduce", "T1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "checks passed" in proc.stdout

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fraclsq import (
     solve_fde,
     substituted_rule,
 )
+from fraclsq.fraccalc import _exact_gram
 from fraclsq.functions import multi_term_problem, single_term_problem
 
 
@@ -279,3 +282,98 @@ def test_quadrature_path_rejects_nonfinite_rhs():
     prob = FdeProblem(terms=((0.5, 1.0),), rhs=lambda x: np.log(x - 0.5))
     with pytest.raises(DomainError, match="not finite"), np.errstate(invalid="ignore"):
         solve_fde(prob, 0.5, 2)
+
+
+# ---------------------------------------------------------------------------
+# exact Gram assembly
+# ---------------------------------------------------------------------------
+
+def _pairwise_gram(fs, gs):
+    """<f, g> over [0, 1] summed term pair by term pair in Fractions."""
+    return [[sum((Fraction(c1) * Fraction(c2) / (Fraction(e1) + Fraction(e2) + 1)
+                  for e1, c1 in f.terms for e2, c2 in g.terms), Fraction(0))
+             for g in gs] for f in fs]
+
+
+def _random_functions(rng, count, exponents):
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(1, len(exponents) + 1))
+        picked = rng.choice(exponents, size=k, replace=False)
+        coeffs = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, size=k)
+        out.append(FracFunction.from_terms(zip(coeffs.tolist(), picked.tolist())))
+    return out
+
+
+@pytest.mark.parametrize("exponents", [
+    [0.0, 0.25, 0.5, 1.5, 3.0],                 # dyadic
+    [0.0, 0.3, 0.7, 1.1, 2.45, 3.65],           # not dyadic
+    [0.0, 0.125, 0.4, 0.75, 1.9, 2.0],          # mixed
+])
+def test_exact_gram_equals_pairwise_fractions(exponents):
+    rng = np.random.default_rng(int(1000 * sum(exponents)))
+    fs = _random_functions(rng, 5, exponents)
+    gs = _random_functions(rng, 3, exponents) + [FracFunction(())]
+    got = _exact_gram(fs, gs)
+    assert got == _pairwise_gram(fs, gs)
+    assert all(isinstance(v, Fraction) for row in got for v in row)
+    assert [row[-1] for row in got] == [0] * 5
+
+
+def test_exact_gram_of_empty_functions_is_zero():
+    empty = FracFunction(())
+    assert _exact_gram([empty], [empty]) == [[0]]
+    assert _exact_gram([empty, empty], [FracFunction.from_terms([(2.0, 0.3)])]) == [[0], [0]]
+    assert _exact_gram([], [empty]) == []
+
+
+def test_exact_gram_of_constant_and_power():
+    one = FracFunction.from_terms([(1.0, 0.0)])
+    x = FracFunction.from_terms([(1.0, 1.0)])
+    assert _exact_gram([one, x], [one, x]) == [[1, Fraction(1, 2)],
+                                                [Fraction(1, 2), Fraction(1, 3)]]
+
+
+def _offpool_problem():
+    # three non-dyadic orders with a reaction term, solution x^3.5 + x^4
+    prob = FdeProblem(terms=((0.3, 1.0), (0.45, 1.0), (0.65, 1.0)), reaction=0.9)
+    y = FracFunction.from_terms([(1.0, 3.5), (1.0, 4.0)])
+    return FdeProblem(terms=prob.terms, reaction=0.9, rhs=apply_operator(prob, y))
+
+
+# coefficients and error functional, as float hex strings, recorded with the
+# term-pair Fraction assembly the integer products replaced
+_PINNED = {
+    "multi_term_ml": (
+        multi_term_problem()[0], 0.75, "muntz_legendre",
+        ['0x1.b05b0896ef811p-2', '0x1.6fb7716f0ea64p-1', '0x1.1988031d65731p-1',
+         '0x1.f0d1ebdf4b49dp-3', '0x1.ed303e054617ap-5', '0x1.bf45a1ceba446p-8',
+         '0x1.a929381b909eap-14', '-0x1.26a751c797d49p-19', '-0x1.f5b89a6f1e79ep-24',
+         '0x1.970ea408ead61p-24', '-0x1.5a01be04fac15p-25', '0x1.1e0f8c8b9a3c0p-26',
+         '-0x1.e3d95a82e79c2p-28', '0x1.e1eb10657191ap-29', '-0x1.ee06563e019e8p-30'],
+        '0x1.e0f47719a3c72p-58'),
+    "offpool_ml": (
+        _offpool_problem(), 0.7, "muntz_legendre",
+        ['0x1.b05afefce7523p-2', '0x1.64420f4ee97c4p-1', '0x1.16e7df130360ap-1',
+         '0x1.0560a14f1b794p-2', '0x1.239bdbeedb1eep-4', '0x1.524266b631190p-7',
+         '0x1.e8326fad99d7cp-12', '-0x1.6a9a0f9c6bc98p-17', '0x1.1632f2f885bbep-20',
+         '-0x1.5f30800b7a159p-23', '0x1.289af5ee45322p-25', '-0x1.3213265f88dbcp-27',
+         '0x1.69978216bedacp-29', '-0x1.089d3ccf88129p-30', '0x1.b908133290e3bp-32'],
+        '0x1.279b08a62896ap-60'),
+    "offpool_monomial": (
+        _offpool_problem(), 0.7, "monomial",
+        ['-0x1.7973b77d09321p-17', '0x1.c6ed927ba1318p-16', '-0x1.5e504ba2347f4p-12',
+         '0x1.18da398b41137p-8', '-0x1.2ab0af6265e05p-5', '0x1.41293d49d8c3ap+0',
+         '0x1.b4e33ae5490a2p-1', '0x1.1258227d92715p-7', '-0x1.4ed627e79b8e8p-3',
+         '0x1.6068837641823p-5', '0x1.97d29f4523f42p-4', '-0x1.376e3926feb1ep-5',
+         '-0x1.5595b3c0461c2p-4', '0x1.45f8cd8bc8e80p-4', '-0x1.57b018df70b5cp-6'],
+        '0x1.1e9f44e8d1113p-46'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_exact_path_is_pinned_bit_for_bit(case):
+    prob, lam, kind, coeffs, error = _PINNED[case]
+    fit = solve_fde(prob, lam, 14, kind)
+    assert [float(c).hex() for c in fit.coeffs] == coeffs
+    assert float(fit.error).hex() == error

@@ -128,6 +128,12 @@ def test_projection_singular_weight_exact():
     assert fit.error <= 1e-18
 
 
+def test_projection_reports_the_weight_interval():
+    basis = build_continuous(WeightSpec.unit(0.5, 2.0), 0.5, 2)
+    fit = fit_projection(lookup("x15"), basis)
+    assert (fit.lo, fit.hi) == (0.5, 2.0)
+
+
 def test_projection_of_basis_member_is_unit_vector():
     from fraclsq import muntz_legendre_coeffs
 

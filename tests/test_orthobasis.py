@@ -240,3 +240,19 @@ def test_ladder_values_is_a_rung_table():
         np.testing.assert_allclose(row, _poly_vals(poly, xs), rtol=1e-12, atol=1e-12)
     assert basis.ladder_values(0.5).shape == (5,)
     assert np.array_equal(basis.ladder_values(xs.reshape(3, 3)), table.reshape(5, 3, 3))
+
+
+@pytest.mark.parametrize("field", ["lo", "hi", "beta_left", "beta_right"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_weight_spec_rejects_nonfinite_fields(field, bad):
+    kw = dict(kind="jacobi", lo=0.0, hi=1.0, beta_left=0.0, beta_right=0.0)
+    kw[field] = bad
+    with pytest.raises(DomainError, match="finite"):
+        WeightSpec(**kw)
+
+
+def test_bases_carry_their_interval():
+    cont = build_continuous(WeightSpec.jacobi(0.0, -0.5, 0.5, 2.0), 0.5, 2)
+    assert (cont.lo, cont.hi) == (0.5, 2.0)
+    disc = build_discrete(None, [0.25, 3.0, 1.0], 1.0, 1)
+    assert (disc.lo, disc.hi) == (0.25, 3.0)
