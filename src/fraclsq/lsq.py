@@ -115,13 +115,21 @@ def _monomial_values(lam, n, x):
     return np.asarray(x, dtype=float)[..., None] ** (lam * np.arange(n + 1))
 
 
-def _normal_fit(lam, n, moments, V, ys, w, lo, hi):
+def _normal_solve(n, moments, V, ys, w):
     """Solve the monomial normal equations: on the ladder x^(i lam) x^(j lam)
-    = x^((i+j) lam), so the normal matrix is Hankel in the 2n+1 moments."""
+    = x^((i+j) lam), so the normal matrix is Hankel in the 2n+1 moments.
+
+    Returns the coefficients, the condition estimate and the fitted values
+    V @ coeffs at V's points."""
     idx = np.arange(n + 1)
     A = moments[idx[:, None] + idx[None, :]]
     coeffs, cond = solve_normal_equations(A, V.T @ (w * ys))
-    resid = ys - V @ coeffs
+    return coeffs, cond, V @ coeffs
+
+
+def _monomial_fit(lam, coeffs, cond, fitted, ys, w, lo, hi):
+    """The monomial fit, with the weighted squared residual as its error."""
+    resid = ys - fitted
     error = float(np.sum(w * resid * resid))
     return FitResult("monomial", lam, coeffs, max(error, 0.0), cond, lo, hi)
 
@@ -143,8 +151,10 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
         rule = quad.ladder_rule(DEFAULT_QUAD_POINTS, lam * np.arange(n + 1), lo, hi,
                                 fallback_step=lam)
     moments = np.array([quad.frac_moment(lo, hi, lam * k) for k in range(2 * n + 1)])
-    return _normal_fit(lam, n, moments, _monomial_values(lam, n, rule.nodes),
-                       quad.sample(y, rule.nodes), rule.weights, lo, hi)
+    ys = quad.sample(y, rule.nodes)
+    coeffs, cond, fitted = _normal_solve(n, moments, _monomial_values(lam, n, rule.nodes),
+                                         ys, rule.weights)
+    return _monomial_fit(lam, coeffs, cond, fitted, ys, rule.weights, lo, hi)
 
 
 def fit_discrete_normal(data, lam, n):
@@ -155,6 +165,12 @@ def fit_discrete_normal(data, lam, n):
     sums.  Raises ConditioningError on rank deficiency (fewer points than
     coefficients) or a numerically singular system.
     """
+    return _fit_discrete_values(data, lam, n)[0]
+
+
+def _fit_discrete_values(data, lam, n):
+    """:func:`fit_discrete_normal` and its fitted values at ``data.xs``, equal
+    bit for bit to ``predict(fit, data.xs)``, from the one power table."""
     if not 0 < lam <= 2:
         raise DomainError(f"lambda must lie in (0, 2], got {lam}")
     if n < 0:
@@ -167,9 +183,11 @@ def fit_discrete_normal(data, lam, n):
     w = data.weight_array()
     # direct powers x^(k lam), k = 0..2n: moments are the power sums
     P = _monomial_values(lam, 2 * n, data.xs)
-    moments = np.einsum("k,km->m", w, P)
+    coeffs, cond, fitted = _normal_solve(n, np.einsum("k,km->m", w, P), P[:, :n + 1],
+                                         data.ys, w)
+    del P  # the largest array: freed before the residual's temporaries
     lo, hi = float(np.min(data.xs)), float(np.max(data.xs))
-    return _normal_fit(lam, n, moments, P[:, :n + 1], data.ys, w, lo, hi)
+    return _monomial_fit(lam, coeffs, cond, fitted, data.ys, w, lo, hi), fitted
 
 
 def fit_projection(target, basis):

@@ -5,20 +5,30 @@ Paths follow the exact log-normal solution of geometric Brownian motion, so
 there is no time-discretization error; the only approximations are the
 Monte Carlo average and the regression-based exercise policy.  Normal
 variates come from a counter-based Philox generator keyed by the job seed,
-which makes every run bit-reproducible.
+which makes every run bit-reproducible.  Paths are stored date-major, so
+the pricer reads each exercise date as one contiguous row.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .lsq import DataSet, fit_discrete_normal, predict
+from .lsq import DataSet, _fit_discrete_values
 
 __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
            "price_american_put"]
+
+
+def _integer(name, value):
+    """``value`` as a Python int; floats (even integral ones) are rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -27,7 +37,8 @@ class GbmConfig:
 
     Rates are per year, volatility per sqrt(year), horizon in years; the
     grid has ``steps`` exercise dates after time zero.  ``budget`` caps
-    steps*paths to keep one job's memory bounded.
+    steps*paths to keep one job's memory bounded.  ``steps``, ``paths`` and
+    the non-negative ``seed`` are integers (numpy integers are accepted).
     """
 
     s0: float
@@ -40,6 +51,10 @@ class GbmConfig:
     budget: int = 10_000_000
 
     def __post_init__(self):
+        for name in ("steps", "paths", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         for name in ("s0", "r", "sigma", "horizon"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -72,6 +87,8 @@ class LsmcJob:
             raise DomainError(f"strike must be positive and finite, got {self.strike}")
         if not 0 < self.lam <= 2:
             raise DomainError(f"lambda must lie in (0, 2], got {self.lam}")
+        object.__setattr__(self, "basis_degree",
+                           _integer("basis degree", self.basis_degree))
         if self.basis_degree < 1:
             raise DomainError("basis degree must be >= 1")
 
@@ -88,18 +105,27 @@ def simulate_paths(cfg):
 
     Exact log-normal stepping: S_{t+1} = S_t exp((r - sigma^2/2) dt
     + sigma sqrt(dt) Z).  Deterministic given the seed (Philox stream).
+    The result is the transpose of a C-contiguous (steps+1) x paths buffer,
+    so ``paths.T[t]`` (all paths at date t) is contiguous.
     """
     dt = cfg.horizon / cfg.steps
     rng = np.random.Generator(np.random.Philox(cfg.seed))
+    # z becomes the log-increments, their running sums and the prices in
+    # place: two path-sized arrays at most, each entry rounded as in
+    # s0 * exp(cumsum(drift + vol * z))
     z = rng.standard_normal((cfg.paths, cfg.steps))
-    increments = (cfg.r - 0.5 * cfg.sigma**2) * dt + cfg.sigma * np.sqrt(dt) * z
-    paths = np.empty((cfg.paths, cfg.steps + 1))
-    paths[:, 0] = cfg.s0
-    paths[:, 1:] = cfg.s0 * np.exp(np.cumsum(increments, axis=1))
-    return paths
+    z *= cfg.sigma * np.sqrt(dt)
+    z += (cfg.r - 0.5 * cfg.sigma**2) * dt
+    np.cumsum(z, axis=1, out=z)
+    np.exp(z, out=z)
+    z *= cfg.s0
+    dates = np.empty((cfg.steps + 1, cfg.paths))
+    dates[0] = cfg.s0
+    dates[1:] = z.T
+    return dates.T
 
 
-def price_american_put(job):
+def price_american_put(job, paths=None):
     """Backward-induction Longstaff-Schwartz price of the American put.
 
     At each exercise date the continuation value is regressed on
@@ -109,31 +135,47 @@ def price_american_put(job):
     regressor set, e.g. sigma = 0) skip the regression and fall back to the
     sample-mean continuation; they are reported in ``skipped_dates``.
 
+    ``paths`` optionally supplies the price paths, as returned by
+    ``simulate_paths(job.gbm)``: a paths x (steps+1) array of finite prices
+    >= 0, which is read and never modified.  Passing the same array to jobs
+    that differ only in strike, lambda or degree prices them all on one
+    simulation, with the same bits as simulating inside each call; the T9
+    table prices its four lambdas this way.  Any other layout is accepted
+    but copied to the date-major one.
+
     Returns PriceResult(price, std_error, european, skipped_dates) where
     ``european`` discounts only the terminal payoffs of the same paths.
     """
     cfg = job.gbm
-    paths = simulate_paths(cfg)
+    if paths is None:
+        paths = simulate_paths(cfg)
+    else:
+        paths = np.asarray(paths, dtype=float)
+        if paths.shape != (cfg.paths, cfg.steps + 1):
+            raise DomainError(
+                f"paths must have shape {(cfg.paths, cfg.steps + 1)} "
+                f"(paths, steps+1), got {paths.shape}")
+        if not np.all(np.isfinite(paths) & (paths >= 0)):
+            raise DomainError("path prices must be finite and >= 0")
+    dates = np.ascontiguousarray(paths.T)  # row t = every path at date t
     dt = cfg.horizon / cfg.steps
     disc = np.exp(-cfg.r * dt)
     strike = job.strike
 
-    cash = np.maximum(strike - paths[:, -1], 0.0)
+    cash = np.maximum(strike - dates[-1], 0.0)
     skipped = []
     for t in range(cfg.steps - 1, 0, -1):
         cash *= disc
-        spot = paths[:, t]
+        spot = dates[t]
         intrinsic = strike - spot
         itm = intrinsic > 0
         n_itm = int(itm.sum())
         if n_itm < job.basis_degree + 1:
             skipped.append(t)
             continue
-        x = spot[itm]
         try:
-            fit = fit_discrete_normal(DataSet(x, cash[itm]), job.lam,
-                                      job.basis_degree)
-            continuation = predict(fit, x)
+            _, continuation = _fit_discrete_values(DataSet(spot[itm], cash[itm]),
+                                                   job.lam, job.basis_degree)
         except ConditioningError:
             # all regressors (nearly) identical: best fit is the plain mean
             skipped.append(t)
@@ -146,5 +188,5 @@ def price_american_put(job):
     price = float(cash.mean())
     std_error = float(cash.std(ddof=1) / np.sqrt(cfg.paths)) if cfg.paths > 1 else 0.0
     european = float(np.exp(-cfg.r * cfg.horizon)
-                     * np.maximum(strike - paths[:, -1], 0.0).mean())
+                     * np.maximum(strike - dates[-1], 0.0).mean())
     return PriceResult(price, std_error, european, tuple(reversed(skipped)))

@@ -22,7 +22,7 @@ from .functions import (
 from .lsq import DataSet, add_noise, fit_continuous_normal, fit_discrete_normal, \
     fit_projection, predict
 from .orthobasis import build_discrete
-from .pricing import GbmConfig, LsmcJob, price_american_put
+from .pricing import GbmConfig, LsmcJob, price_american_put, simulate_paths
 from .special import mittag_leffler
 from . import quadrature as quad
 
@@ -208,13 +208,12 @@ def reproduce_t8(**_):
 
 def reproduce_t9(seed=T9_SEED, paths=10000, **_):
     refs = {0.25: 10.743, 0.5: 10.730, 0.75: 10.790, 1.0: 10.714}
+    gbm = GbmConfig(s0=38.0, r=0.05, sigma=0.71, horizon=1.0 / 6.0,
+                    steps=60, paths=paths, seed=seed)
+    prices = simulate_paths(gbm)  # every lambda regresses on the same paths
     rows = []
     for lam, ref in refs.items():
-        job = LsmcJob(
-            gbm=GbmConfig(s0=38.0, r=0.05, sigma=0.71, horizon=1.0 / 6.0,
-                          steps=60, paths=paths, seed=seed),
-            strike=48.0, lam=lam)
-        res = price_american_put(job)
+        res = price_american_put(LsmcJob(gbm=gbm, strike=48.0, lam=lam), prices)
         rows.append(CheckRow(
             f"T9 lam={lam:g} price", res.price,
             f"expected={ref} (+-3*SE, SE={res.std_error:.3f})",

@@ -399,3 +399,15 @@ def test_python_m_fraclsq_runs_the_cli(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["price", "--s0", "38", "--rate", "0.05", "--sigma", "0.71", "--strike", "48",
+     "--horizon", "0.5", "--steps", "5", "--paths", "100", "--lambda", "0.75",
+     "--seed", "-1"],
+    ["reproduce", "T9", "--seed", "-1"],
+])
+def test_negative_seed_is_input_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == "" and "seed must be >= 0" in err

@@ -116,6 +116,21 @@ def test_weighted_discrete_fit_prefers_weighted_region():
     assert clean_sse(down) < clean_sse(flat)
 
 
+@pytest.mark.parametrize("lam", [0.08, 0.75, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("points", [7, 1001])
+def test_discrete_fitted_values_equal_predict(lam, n, points):
+    # the LSMC continuation comes from these values instead of predict()
+    rng = np.random.default_rng(points + 10 * n)
+    xs = rng.uniform(20.0, 60.0, points)
+    data = DataSet(xs, np.maximum(50.0 - xs, 0.0) + rng.standard_normal(points))
+    fit, fitted = lsq._fit_discrete_values(data, lam, n)
+    ref = fit_discrete_normal(data, lam, n)
+    assert fit.coeffs.tobytes() == ref.coeffs.tobytes()
+    assert (fit.error, fit.cond, fit.lo, fit.hi) == (ref.error, ref.cond, ref.lo, ref.hi)
+    assert fitted.tobytes() == predict(fit, xs).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # projection route
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fraclsq import (
     price_american_put,
     simulate_paths,
 )
+from fraclsq import pricing
 
 
 def _cfg(**kw):
@@ -129,3 +131,137 @@ def test_gbm_config_rejects_nonfinite(field, bad):
 def test_job_rejects_nonfinite_strike(bad):
     with pytest.raises(DomainError, match="strike"):
         LsmcJob(gbm=_cfg(), strike=bad, lam=1.0)
+
+
+# ---------------------------------------------------------------------------
+# integer fields
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,bad", [
+    ("seed", -1), ("seed", 1.5), ("seed", 1.0), ("seed", None),
+    ("steps", 2.5), ("steps", 60.0), ("paths", 100.0), ("paths", "100"),
+])
+def test_gbm_config_rejects_bad_integers(field, bad):
+    with pytest.raises(DomainError, match=field):
+        _cfg(**{field: bad})
+
+
+def test_gbm_config_accepts_numpy_integers():
+    cfg = _cfg(steps=np.int64(60), paths=np.int32(2000), seed=np.uint64(1))
+    assert (cfg.steps, cfg.paths, cfg.seed) == (60, 2000, 1)
+    assert all(type(v) is int for v in (cfg.steps, cfg.paths, cfg.seed))
+    assert np.array_equal(simulate_paths(cfg), simulate_paths(_cfg()))
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5])
+def test_job_rejects_non_integer_degree(bad):
+    with pytest.raises(DomainError, match="basis degree"):
+        LsmcJob(gbm=_cfg(), strike=44.0, lam=0.5, basis_degree=bad)
+
+
+# ---------------------------------------------------------------------------
+# bit pins, recorded before paths were stored date-major and before the
+# continuation came from the regression's own fitted values
+# ---------------------------------------------------------------------------
+
+def _hex(res):
+    return res.price.hex(), res.std_error.hex(), res.european.hex()
+
+
+_T9_EUROPEAN = "0x1.63f51774fe6f1p+3"
+
+
+@pytest.mark.parametrize("lam,price,std_error", [
+    (0.25, "0x1.65f77b8aeee8ap+3", "0x1.0528018b799c1p-4"),
+    (0.5, "0x1.660fd5a5cac08p+3", "0x1.05e77b66622d4p-4"),
+    (0.75, "0x1.66a6d7418388ep+3", "0x1.0c8eac6efefa3p-4"),
+    (1.0, "0x1.677d31f484ac7p+3", "0x1.15e785e81f5ccp-4"),
+])
+def test_t9_prices_pinned(lam, price, std_error):
+    res = price_american_put(LsmcJob(gbm=_cfg(paths=10_000), strike=48.0, lam=lam))
+    assert _hex(res) == (price, std_error, _T9_EUROPEAN)
+    assert res.skipped_dates == ()
+
+
+def test_ill_conditioned_itm_job_pinned():
+    # lambda = 0.08 at degree 3: the ladder columns are nearly collinear
+    gbm = GbmConfig(s0=46.98, r=0.062, sigma=0.17, horizon=0.9783, steps=50,
+                    paths=10_000, seed=1672110158)
+    res = price_american_put(LsmcJob(gbm=gbm, strike=50.68, lam=0.08, basis_degree=3))
+    assert _hex(res) == ("0x1.01a9268f8098cp+2", "0x1.a961f8fd76964p-6",
+                         "0x1.c0fc62db2ae1ep+1")
+    assert res.skipped_dates == ()
+
+
+def test_zero_volatility_skipped_dates_pinned():
+    # identical regressors up to rounding: two dates fall back to the mean
+    res = price_american_put(LsmcJob(gbm=_cfg(sigma=0.0, paths=64), strike=48.0,
+                                     lam=1.0))
+    assert _hex(res) == ("0x1.3fc963f52062fp+3", "0x1.02061446ffa9ap-52",
+                         "0x1.3340d0c3b59a6p+3")
+    assert res.skipped_dates == (7, 49)
+
+
+@pytest.mark.parametrize("cfg,digest", [
+    (_cfg(), "e8673ee45b4b07b27a693e2b5ed428527c9289827942bdf3ff87feb8d712ce6f"),
+    (GbmConfig(s0=100.0, r=0.0, sigma=0.2, horizon=1.0, steps=7, paths=33,
+               seed=2**31 - 1),
+     "6d3fe5f93fbd1bd2c8af1cbaf74d424e6244b3baa1f66c91128f60a90eef21f1"),
+])
+def test_simulated_paths_pinned(cfg, digest):
+    paths = np.ascontiguousarray(simulate_paths(cfg))
+    assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# precomputed paths
+# ---------------------------------------------------------------------------
+
+def test_paths_are_date_major():
+    cfg = _cfg(paths=50, steps=7)
+    paths = simulate_paths(cfg)
+    assert paths.shape == (50, 8)
+    assert paths.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("lam,degree", [(0.08, 3), (0.75, 2), (2.0, 1)])
+def test_precomputed_paths_price_bit_for_bit(lam, degree):
+    job = LsmcJob(gbm=_cfg(), strike=48.0, lam=lam, basis_degree=degree)
+    paths = simulate_paths(job.gbm)
+    before = paths.copy()
+    own = price_american_put(job)
+    shared = price_american_put(job, paths)
+    assert _hex(shared) == _hex(own)
+    assert shared.skipped_dates == own.skipped_dates
+    assert np.array_equal(paths, before)  # read, never written
+    # a path-major copy is accepted and gives the same bits
+    assert _hex(price_american_put(job, np.ascontiguousarray(paths))) == _hex(own)
+
+
+def test_precomputed_paths_validated():
+    job = LsmcJob(gbm=_cfg(paths=20, steps=5), strike=48.0, lam=1.0)
+    paths = simulate_paths(job.gbm)
+    for bad in (paths.T, paths[:, :-1], paths[:-1], paths[0]):
+        with pytest.raises(DomainError, match="shape"):
+            price_american_put(job, bad)
+    for value in (math.nan, math.inf, -1.0):
+        bad = paths.copy()
+        bad[3, 2] = value
+        with pytest.raises(DomainError, match="finite"):
+            price_american_put(job, bad)
+
+
+def test_t9_simulates_once(monkeypatch):
+    from fraclsq import reproduce
+
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return simulate_paths(cfg)
+
+    monkeypatch.setattr(reproduce, "simulate_paths", counting)
+    monkeypatch.setattr(pricing, "simulate_paths", counting)
+    rows = reproduce.run_table("T9", paths=500)
+    assert len(calls) == 1
+    assert len(rows) == 12
