@@ -8,6 +8,7 @@ precision via round-trip repr.  Exit codes: 0 success, 2 input error,
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 
@@ -319,6 +320,11 @@ def cmd_reproduce(args):
         kwargs["qualitative"] = True
     if args.seed is not None:
         kwargs["seed"] = args.seed
+    job = TABLE_JOBS.get(args.table.upper())
+    for name in kwargs:
+        # name the flag, rather than fail inside the job with a TypeError
+        if job is not None and name not in inspect.signature(job).parameters:
+            raise InputError(f"table {args.table.upper()} does not read --{name}")
     try:
         rows = run_table(args.table, **kwargs)
     except KeyError as exc:

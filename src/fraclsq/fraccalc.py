@@ -18,15 +18,16 @@ the basis span is recovered to the last bit and the reported error
 functional is the exact integral of the squared residual at the returned
 coefficients.
 
-The exact moments are integer matrix products: all functions of one Gram
-matrix are written over one shared exponent set, the kernel 1/(e_a + e_b + 1)
-becomes integer weights over the lcm of the distinct exponent sums, and each
-entry is one Fraction built from Python ints (see ``_exact_gram``).
+The exact moments are one integer matrix product over one denominator: all
+functions of one Gram matrix are written over one shared exponent set, and
+the kernel 1/(e_a + e_b + 1) becomes integer weights over the lcm of the
+distinct exponent sums (see ``_exact_gram``).  The augmented system [G | d]
+stays in that form through every refinement residual; floats come from one
+correctly rounded int/int division per entry.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Union
 
 import numpy as np
@@ -108,10 +109,6 @@ class FracFunction:
     def __add__(self, other):
         return FracFunction.from_terms(self.coeff_pairs + other.coeff_pairs)
 
-    def integral01(self):
-        """Exact integral over [0, 1]: sum c_j / (nu_j + 1)."""
-        return float(sum(Fraction(c) / (Fraction(e) + 1) for e, c in self.terms))
-
 
 def caputo_derivative(p, alpha):
     """Termwise Caputo power rule of order alpha in (0, 1).
@@ -178,7 +175,8 @@ def apply_operator(prob, p):
 
 
 def _exact_gram(fs, gs):
-    """[[<f, g> for g in gs] for f in fs] over [0, 1], exact, as Fractions.
+    """(N, D) with <f_i, g_j> over [0, 1] exactly N[i, j] / D: N an object
+    array of Python ints, D one int, neither reduced.
 
     Every function is written over one sorted shared exponent set with
     e_a = P_a / Q exactly (Q the largest power-of-two denominator), so
@@ -209,8 +207,7 @@ def _exact_gram(fs, gs):
 
     Mf, Sf = integer_coeffs(fs)
     Mg, Sg = integer_coeffs(gs)
-    den = L * Sf * Sg
-    return [[Fraction(Q * v, den) for v in row] for row in (Mf @ W @ Mg.T).tolist()]
+    return Q * (Mf @ W @ Mg.T), L * Sf * Sg
 
 
 def _basis(lam, n, kind):
@@ -248,14 +245,13 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
     exact_ok = isinstance(prob.rhs, FracFunction) and rule is None and prob.hi == 1.0
     if exact_ok:
         F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
-        Gq = _exact_gram(psis, psis)
-        dq = [row[0] for row in _exact_gram(psis, [F])]
-        G = np.array([[float(v) for v in row] for row in Gq])
-        d = np.array([float(v) for v in dq])
+        # the augmented system [G | d] as integers over one denominator
+        N, D = _exact_gram(psis, psis + [F])
+        Gd = (N / D).astype(float)
         try:
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
-            coeffs, cond = solve_normal_equations(G, d, exact_A=Gq, exact_b=dq,
+            coeffs, cond = solve_normal_equations(Gd[:, :-1], Gd[:, -1], (N, D),
                                                   allow_semidefinite=True)
         except ConditioningError as exc:
             raise DegeneracyError(
@@ -264,7 +260,8 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
             [(a * c, e) for a, psi in zip(coeffs, psis) for c, e in psi.coeff_pairs]
             + [(-c, e) for c, e in F.coeff_pairs]
         )
-        error = float(_exact_gram([resid], [resid])[0][0])
+        N, D = _exact_gram([resid], [resid])
+        error = N[0, 0] / D
     else:
         if rule is None:
             # the x^step substitution makes the residual integrands exactly

@@ -14,6 +14,7 @@ least-squares error functional and a condition estimate of the solved
 system (1 for the projection route).
 """
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -246,11 +247,22 @@ def expand_to_monomial(fit):
     return frac_poly_linear_combine(polys, list(fit.coeffs))
 
 
+def _integer(name, value):
+    """``value`` as a Python int; floats (even integral ones) are rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def add_noise(data, percent, seed):
     """Perturb ys with zero-mean Gaussian noise, sigma = percent/100 * |y_k|.
 
-    Deterministic for a fixed seed; percent = 0 returns the data unchanged.
+    Deterministic for a fixed seed, a non-negative integer; percent = 0
+    returns the data unchanged.
     """
+    if _integer("noise seed", seed) < 0:
+        raise DomainError(f"noise seed must be >= 0, got {seed}")
     if percent < 0:
         raise DomainError(f"noise percent must be >= 0, got {percent}")
     if percent == 0:

@@ -17,7 +17,6 @@ coefficient space (multiplying by x^lam is an index shift).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,10 +41,9 @@ DEFAULT_QUAD_POINTS = 96
 class WeightSpec:
     """Weight function W(x) > 0 for the orthogonality inner product.
 
-    kind        one of "unit", "jacobi", "callable"
+    kind        one of "unit", "jacobi"
     beta_left   exponent of (x - lo) when kind == "jacobi"
     beta_right  exponent of (hi - x) when kind == "jacobi"
-    fn          the weight itself when kind == "callable"
     """
 
     kind: str
@@ -53,10 +51,9 @@ class WeightSpec:
     hi: float = 1.0
     beta_left: float = 0.0
     beta_right: float = 0.0
-    fn: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in ("unit", "jacobi", "callable"):
+        if self.kind not in ("unit", "jacobi"):
             raise DomainError(f"unknown weight kind {self.kind!r}")
         if not all(math.isfinite(v) for v in
                    (self.lo, self.hi, self.beta_left, self.beta_right)):
@@ -65,8 +62,6 @@ class WeightSpec:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.kind == "jacobi" and not (self.beta_left > -1 and self.beta_right > -1):
             raise DomainError("jacobi weight exponents must exceed -1")
-        if self.kind == "callable" and self.fn is None:
-            raise DomainError("callable weight needs a function handle")
 
     @classmethod
     def unit(cls, lo=0.0, hi=1.0):
@@ -75,10 +70,6 @@ class WeightSpec:
     @classmethod
     def jacobi(cls, beta_left, beta_right, lo=0.0, hi=1.0):
         return cls("jacobi", lo, hi, beta_left, beta_right)
-
-    @classmethod
-    def from_callable(cls, fn, lo=0.0, hi=1.0):
-        return cls("callable", lo, hi, fn=fn)
 
 
 @dataclass(frozen=True)
@@ -165,13 +156,7 @@ def default_rule(weight, lam, quad_points=DEFAULT_QUAD_POINTS):
                                       weight.beta_right)
         return quad.gauss_jacobi(quad_points, weight.beta_left, weight.beta_right,
                                  lo, hi)
-    base = quad.ladder_rule(quad_points, (lam,), lo, hi, fallback_step=lam)
-    if weight.kind == "unit":
-        return base
-    wvals = quad.sample(weight.fn, base.nodes)
-    if np.any(wvals <= 0):
-        raise DomainError("weight function must be positive on (lo, hi)")
-    return quad.QuadratureRule(base.nodes, base.weights * wvals, lo, hi, "callable")
+    return quad.ladder_rule(quad_points, (lam,), lo, hi, fallback_step=lam)
 
 
 def _recurrence(points, w, lam, n, mode, lo, hi):

@@ -10,25 +10,16 @@ the pricer reads each exercise date as one contiguous row.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .lsq import DataSet, _fit_discrete_values
+from .lsq import DataSet, _fit_discrete_values, _integer
 
 __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
            "price_american_put"]
-
-
-def _integer(name, value):
-    """``value`` as a Python int; floats (even integral ones) are rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

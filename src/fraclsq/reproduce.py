@@ -74,7 +74,7 @@ def _ge_row(label, computed, bound, note=""):
 # T1: continuous fit of x^0.75 + x^1.5 on [0, 1], n = 2
 # ---------------------------------------------------------------------------
 
-def reproduce_t1(quad_points=64, **_):
+def reproduce_t1(quad_points=64):
     target = lookup("x075+x15")
     rows = []
     cases = {
@@ -106,7 +106,7 @@ def t2_data():
     return DataSet(xs, xs**1.5)
 
 
-def reproduce_t2(qualitative=False, noise_seed=7, **_):
+def reproduce_t2(qualitative=False, noise_seed=7):
     data = t2_data()
     rows = []
     fit = fit_discrete_normal(data, 1.5, 1)
@@ -133,7 +133,7 @@ def reproduce_t2(qualitative=False, noise_seed=7, **_):
 # T4: single-term FDE D^0.5 y = f, exact solution y = x, n = 2
 # ---------------------------------------------------------------------------
 
-def reproduce_t4(**_):
+def reproduce_t4():
     prob, y_exact = single_term_problem(0.5)
     rows = []
     fit = solve_fde(prob, 0.5, 2, basis_kind="monomial")
@@ -162,7 +162,7 @@ def sales_data():
                    np.array([10000.0, 21000.0, 50000.0, 70000.0]))
 
 
-def reproduce_t6(**_):
+def reproduce_t6():
     data = sales_data()
     refs = {0.5: 69692, 0.75: 80546, 1.0: 90000, 1.25: 98307, 1.5: 105870}
     rows = []
@@ -178,7 +178,7 @@ def reproduce_t6(**_):
 # T8: multi-term FDE, exact solution x^3.5 + x^4
 # ---------------------------------------------------------------------------
 
-def reproduce_t8(**_):
+def reproduce_t8():
     prob, y_exact = multi_term_problem()
     rows = []
     fit = solve_fde(prob, 0.5, 8, basis_kind="monomial")
@@ -206,7 +206,7 @@ def reproduce_t8(**_):
 # T9: American put LSMC, lambda sweep
 # ---------------------------------------------------------------------------
 
-def reproduce_t9(seed=T9_SEED, paths=10000, **_):
+def reproduce_t9(seed=T9_SEED, paths=10000):
     refs = {0.25: 10.743, 0.5: 10.730, 0.75: 10.790, 1.0: 10.714}
     gbm = GbmConfig(s0=38.0, r=0.05, sigma=0.71, horizon=1.0 / 6.0,
                     steps=60, paths=paths, seed=seed)
@@ -240,7 +240,7 @@ def population_data(points=11):
     return DataSet(xs, ys)
 
 
-def reproduce_t10(**_):
+def reproduce_t10():
     data = population_data()
     x_eval = 0.55
     y_true = mittag_leffler(POPULATION_ORDER, POPULATION_RATE * x_eval**POPULATION_ORDER)
@@ -273,7 +273,8 @@ TABLE_JOBS = {
 
 
 def run_table(table_id, **kwargs):
-    """Run one reproduction job; returns its CheckRows."""
+    """Run one reproduction job with its own keyword parameters; returns its
+    CheckRows."""
     try:
         job = TABLE_JOBS[table_id.upper()]
     except KeyError:

@@ -7,15 +7,14 @@ the solve is made stability-aware in two cheap ways:
   the scale disparity of mixed-exponent moment sums;
 * iterative refinement with exact residuals, which drives the forward
   error of the returned solution to the last bit whenever eps * cond(A) < 1.
-  The system is brought once to integers over one common denominator, so
-  each residual is one integer matrix-vector product and one correctly
-  rounded division per entry.
+  The augmented system [A | b] is held as integers over one denominator
+  (given by the caller, or read off the float entries), so each residual is
+  one integer matrix-vector product and one correctly rounded division per
+  entry.
 
 The reported condition estimate always refers to the raw, un-equilibrated
 matrix: it is the diagnostic the caller uses to compare basis choices.
 """
-
-import math
 
 import numpy as np
 
@@ -34,32 +33,29 @@ def condition_estimate(A):
         return float("inf")
 
 
-def _exact_residual(A, b):
-    """x -> b - A x, exact then correctly rounded, for entries with
-    ``as_integer_ratio`` (floats, Fractions): with A = An / D, b = bn / D and
-    x = X / K (K a power of two), r = (K bn - An X) / (D K)."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in (*A, b)]
-    D = math.lcm(*(q for row in ratios for _, q in row))
-    ints = np.array([[p * (D // q) for p, q in row] for row in ratios], dtype=object)
-    An, bn = ints[:-1], ints[-1]
-
-    def residual(x):
-        xr = [v.as_integer_ratio() for v in x.tolist()]
-        K = max(q for _, q in xr)
-        X = np.array([p * (K // q) for p, q in xr], dtype=object)
-        return ((K * bn - An @ X) / (D * K)).astype(float)
-    return residual
+def _dyadic(v):
+    """Float array v as (ints, K) with v == ints / K exactly: K is the
+    largest power-of-two denominator of the entries."""
+    ratios = [t.as_integer_ratio() for t in v.ravel().tolist()]
+    K = max(q for _, q in ratios)
+    return np.array([p * (K // q) for p, q in ratios], dtype=object).reshape(v.shape), K
 
 
-def solve_normal_equations(A, b, exact_A=None, exact_b=None,
-                           allow_semidefinite=False):
+def _residual(N, D, x):
+    """b - A x for the augmented system [A | b] = N / D, exact and then
+    correctly rounded: with x = X / K, r = (K N[:, -1] - N[:, :-1] X) / (D K)."""
+    X, K = _dyadic(x)
+    return ((K * N[:, -1] - N[:, :-1] @ X) / (D * K)).astype(float)
+
+
+def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
     """Solve A x = b and return (x, cond) with cond = cond_2 of raw A.
 
-    ``exact_A`` / ``exact_b`` optionally supply the system in exact rational
-    form (lists of Fractions); refinement residuals are computed against
-    those, so a float solution of an exactly-assembled system converges to
-    its correctly rounded answer.  When omitted, the float entries are taken
-    as exact.
+    ``exact`` optionally supplies the augmented system [A | b] in exact form
+    (N, D): an object array of Python ints and one int, [A | b] = N / D.
+    Refinement residuals are computed against it, so a float solution of an
+    exactly-assembled system converges to its correctly rounded answer.
+    When omitted, the float entries are taken as exact.
 
     With ``allow_semidefinite`` a singular-but-consistent system (a Gram
     matrix with flat directions) falls back to the minimum-norm SVD
@@ -111,11 +107,10 @@ def solve_normal_equations(A, b, exact_A=None, exact_b=None,
             f"normal-equation solution is non-finite (cond~{cond:.3e})", cond=cond
         )
 
-    residual = _exact_residual(A.tolist() if exact_A is None else exact_A,
-                               b.tolist() if exact_b is None else exact_b)
+    N, D = _dyadic(np.column_stack([A, b])) if exact is None else exact
     best_x, best_rnorm = x, float("inf")
     for _ in range(_MAX_REFINE):
-        r = residual(x)
+        r = _residual(N, D, x)
         rnorm = float(np.linalg.norm(r))
         if rnorm < best_rnorm:
             best_x, best_rnorm = x, rnorm

@@ -342,6 +342,18 @@ def test_reproduce_qualitative_flag(capsys):
     assert "noise" in out
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["reproduce", "T2", "--seed", "-1"], "--seed"),
+    (["reproduce", "T2", "--qualitative", "--seed", "5"], "--seed"),
+    (["reproduce", "T1", "--qualitative"], "--qualitative"),
+    (["reproduce", "t9", "--qualitative"], "--qualitative"),
+])
+def test_reproduce_rejects_flags_the_table_does_not_read(args, flag, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == "" and f"does not read {flag}" in err
+
+
 def test_noise_roundtrip(tmp_path, sales_csv, capsys):
     out_csv = tmp_path / "noisy.csv"
     code, _, _ = run_cli(
@@ -406,8 +418,9 @@ def test_python_m_fraclsq_runs_the_cli(tmp_path):
      "--horizon", "0.5", "--steps", "5", "--paths", "100", "--lambda", "0.75",
      "--seed", "-1"],
     ["reproduce", "T9", "--seed", "-1"],
+    ["noise", "--input", "{csv}", "--percent", "5", "--seed", "-1"],
 ])
-def test_negative_seed_is_input_error(args, capsys):
-    code, out, err = run_cli(args, capsys)
+def test_negative_seed_is_input_error(args, sales_csv, capsys):
+    code, out, err = run_cli([a.format(csv=sales_csv) for a in args], capsys)
     assert code == 2
     assert out == "" and "seed must be >= 0" in err

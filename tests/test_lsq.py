@@ -299,6 +299,18 @@ def test_add_noise_identity_and_determinism():
     assert not np.array_equal(a.ys, add_noise(data, 5.0, 43).ys)
 
 
+@pytest.mark.parametrize("seed,match", [
+    (-1, "must be >= 0"), (1.5, "must be an integer"), (2.0, "must be an integer"),
+    (None, "must be an integer"),
+])
+def test_add_noise_rejects_bad_seeds(seed, match):
+    data = DataSet([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+    with pytest.raises(DomainError, match=match):
+        add_noise(data, 5.0, seed)
+    with pytest.raises(DomainError, match=match):
+        add_noise(data, 0.0, seed)
+
+
 def test_add_noise_scales_with_percent():
     rng_data = DataSet(np.linspace(10, 20, 200), np.linspace(10, 20, 200) ** 1.5)
     d5 = add_noise(rng_data, 5.0, 7)

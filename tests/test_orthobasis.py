@@ -91,15 +91,6 @@ def test_monic_leading_coefficients_exact():
         assert poly.coeffs[i] == 1.0
 
 
-def test_callable_weight_matches_jacobi_kind():
-    a = build_continuous(WeightSpec.jacobi(0.0, 1.0), 0.75, 3)
-    b = build_continuous(
-        WeightSpec.from_callable(lambda x: 1.0 - x), 0.75, 3,
-        rule=None, quad_points=96)
-    for pa, pb in zip(a.polys, b.polys):
-        assert pa.coeffs == pytest.approx(pb.coeffs, rel=1e-8, abs=1e-10)
-
-
 def test_gram_schmidt_equivalence_continuous():
     # classical Gram-Schmidt of the raw ladder under the same inner product
     # is an independent construction of the same monic basis

@@ -8,12 +8,16 @@ from fraclsq import fraccalc, solvers
 from fraclsq.solvers import solve_normal_equations
 from fraclsq.functions import single_term_problem
 
+_residual = solvers._residual
 
-def _fraction_solve(A, b, exact_A=None, exact_b=None, allow_semidefinite=False):
+
+def _fraction_solve(A, b, exact=None, allow_semidefinite=False):
     """The refinement loop with residuals summed term by term in Fractions.
 
     Same factorization and update as ``solve_normal_equations``; returns the
-    solution and every (iterate, residual) pair the loop saw.
+    solution and every (iterate, residual) pair the loop saw.  ``exact`` is
+    the augmented system [A | b] as (N, D), as the solver takes it; by
+    default the float entries are taken as exact.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -32,8 +36,13 @@ def _fraction_solve(A, b, exact_A=None, exact_b=None, allow_semidefinite=False):
         def solve_scaled(rhs):
             return np.linalg.solve(As, rhs)
 
-    Aq = exact_A or [[Fraction(v) for v in row] for row in A.tolist()]
-    bq = exact_b or [Fraction(v) for v in b.tolist()]
+    if exact is None:
+        Aq = [[Fraction(v) for v in row] for row in A.tolist()]
+        bq = [Fraction(v) for v in b.tolist()]
+    else:
+        N, D = exact
+        Aq = [[Fraction(int(v), D) for v in row[:-1]] for row in N.tolist()]
+        bq = [Fraction(int(row[-1]), D) for row in N.tolist()]
     x = solve_scaled(b * d) * d
     seen = []
     best_x, best_rnorm = x, float("inf")
@@ -59,37 +68,48 @@ def _bits(v):
 
 
 def _exact_system(monkeypatch, prob, lam, n):
-    """(G, d, Gq, dq) that solve_fde hands to the solver on its exact path."""
+    """(G, d, (N, D)) that solve_fde hands to the solver on its exact path."""
     captured = {}
 
-    def spy(A, b, **kw):
-        captured.update(A=A, b=b, **kw)
-        return solve_normal_equations(A, b, **kw)
+    def spy(A, b, exact, **kw):
+        captured.update(A=A, b=b, exact=exact)
+        return solve_normal_equations(A, b, exact, **kw)
 
     monkeypatch.setattr(fraccalc, "solve_normal_equations", spy)
     fraccalc.solve_fde(prob, lam, n)
-    return captured["A"], captured["b"], captured["exact_A"], captured["exact_b"]
+    return captured["A"], captured["b"], captured["exact"]
 
 
-def _check_against_fractions(A, b, exact_A=None, exact_b=None,
-                             allow_semidefinite=False):
-    want, seen = _fraction_solve(A, b, exact_A, exact_b, allow_semidefinite)
-    residual = solvers._exact_residual(
-        A.tolist() if exact_A is None else exact_A,
-        b.tolist() if exact_b is None else exact_b)
-    for x, r in seen:
-        assert _bits(residual(x)) == _bits(r)
-    got, _ = solve_normal_equations(A, b, exact_A=exact_A, exact_b=exact_b,
-                                    allow_semidefinite=allow_semidefinite)
+def _solver_steps(monkeypatch, A, b, exact=None, allow_semidefinite=False):
+    """The solver's answer and every (iterate, residual) pair it refined with."""
+    seen = []
+
+    def spy(N, D, x):
+        r = _residual(N, D, x)
+        seen.append((x, r))
+        return r
+
+    monkeypatch.setattr(solvers, "_residual", spy)
+    got, _ = solve_normal_equations(A, b, exact, allow_semidefinite=allow_semidefinite)
+    return got, seen
+
+
+def _check_against_fractions(monkeypatch, A, b, exact=None, allow_semidefinite=False):
+    want, want_seen = _fraction_solve(A, b, exact, allow_semidefinite)
+    got, seen = _solver_steps(monkeypatch, A, b, exact, allow_semidefinite)
+    assert len(seen) == len(want_seen)
+    for (x, r), (x_want, r_want) in zip(seen, want_seen):
+        assert _bits(x) == _bits(x_want)
+        assert _bits(r) == _bits(r_want)
     assert _bits(got) == _bits(want)
     return seen
 
 
-def test_hilbert_residuals_match_fraction_loop():
+def test_hilbert_residuals_match_fraction_loop(monkeypatch):
     n = 8
     A = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
     b = A @ np.linspace(1.0, 2.0, n)
-    seen = _check_against_fractions(A, b)
+    seen = _check_against_fractions(monkeypatch, A, b)
     assert len(seen) > 1  # the refinement really iterated
 
 
@@ -97,26 +117,46 @@ def test_exact_fde_system_residuals_match_fraction_loop(monkeypatch):
     # lam = 0.7 and alpha = 0.3 are not dyadic, so the moments have large
     # odd denominators
     prob, _ = single_term_problem(0.3)
-    G, d, Gq, dq = _exact_system(monkeypatch, prob, 0.7, 6)
-    assert max(v.denominator for row in Gq for v in row).bit_length() > 64
-    _check_against_fractions(G, d, Gq, dq, allow_semidefinite=True)
+    G, d, exact = _exact_system(monkeypatch, prob, 0.7, 6)
+    assert exact[1].bit_length() > 64
+    _check_against_fractions(monkeypatch, G, d, exact, allow_semidefinite=True)
 
 
 def test_semidefinite_fde_system_residuals_match_fraction_loop(monkeypatch):
     # lam == alpha: the image of x^lam is parallel to the IC constant
     prob, _ = single_term_problem(0.5)
-    G, d, Gq, dq = _exact_system(monkeypatch, prob, 0.5, 3)
+    G, d, exact = _exact_system(monkeypatch, prob, 0.5, 3)
     assert np.linalg.matrix_rank(G) < len(d)
-    _check_against_fractions(G, d, Gq, dq, allow_semidefinite=True)
+    _check_against_fractions(monkeypatch, G, d, exact, allow_semidefinite=True)
 
 
 def test_exact_residual_of_fractions_and_floats():
-    residual = solvers._exact_residual([[Fraction(1, 3), 0.5], [0.5, Fraction(2, 7)]],
-                                       [Fraction(1, 10), 1.0])
+    # [A | b] = [[1/3, 0.5, 1/10], [0.5, 2/7, 1.0]] over the denominator 210
+    N = np.array([[70, 105, 21], [105, 60, 210]], dtype=object)
     x = np.array([0.25, -3.0])
     want = [float(Fraction(1, 10) - Fraction(1, 3) * Fraction(0.25) - Fraction(1, 2) * -3),
             float(1 - Fraction(1, 2) * Fraction(0.25) - Fraction(2, 7) * -3)]
-    assert _bits(residual(x)) == _bits(want)
+    assert _bits(_residual(N, 210, x)) == _bits(want)
+
+
+def test_exact_form_is_any_common_denominator(monkeypatch):
+    # an unreduced (k N, k D) refines exactly as (N, D) does
+    prob, _ = single_term_problem(0.3)
+    G, d, (N, D) = _exact_system(monkeypatch, prob, 0.7, 6)
+    k = 3**40 * 2**7
+    want, want_seen = _solver_steps(monkeypatch, G, d, (N, D), allow_semidefinite=True)
+    got, seen = _solver_steps(monkeypatch, G, d, (k * N, k * D), allow_semidefinite=True)
+    assert _bits(got) == _bits(want)
+    assert [_bits(r) for _, r in seen] == [_bits(r) for _, r in want_seen]
+    # the float path is the float entries' own dyadic form
+    A = 1.0 / (np.arange(6)[:, None] + np.arange(6)[None, :] + 1.0)
+    b = A @ np.linspace(1.0, 2.0, 6)
+    dyadic = solvers._dyadic(np.column_stack([A, b]))
+    assert dyadic[1] & (dyadic[1] - 1) == 0  # a power of two
+    want, want_seen = _solver_steps(monkeypatch, A, b)
+    got, seen = _solver_steps(monkeypatch, A, b, dyadic)
+    assert _bits(got) == _bits(want)
+    assert [_bits(r) for _, r in seen] == [_bits(r) for _, r in want_seen]
 
 
 @pytest.mark.parametrize("A,b", [
