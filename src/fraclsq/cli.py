@@ -7,10 +7,12 @@ precision via round-trip repr.  Exit codes: 0 success, 2 input error,
 """
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -52,11 +54,11 @@ def _parse_interval(text):
     return lo, hi
 
 
-def _parse_lambdas(text):
+def _parse_floats(flag, text):
     try:
         return [float(p) for p in text.split(",") if p]
     except ValueError:
-        raise InputError(f"--lambda expects a comma-separated number list, got {text!r}") \
+        raise InputError(f"{flag} expects a comma-separated number list, got {text!r}") \
             from None
 
 
@@ -78,60 +80,94 @@ def _parse_weight(text, lo, hi):
 def read_xy_csv(path):
     """Read a CSV with header x,y[,w]; returns a DataSet.
 
-    Malformed content raises InputError naming the offending row/column.
+    The body is parsed in one ``np.loadtxt`` pass, which converts fields as
+    ``float()`` does, to the same bits.  A file it rejects, or whose column
+    count misses the header, is read again by the per-row loop: it takes the
+    rarer forms ``float()`` reads (quoted cells, ``1_000``, whitespace-only
+    lines) and raises InputError naming the offending row/column.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         cols = [h.strip().lower() for h in header]
         if cols[:2] != ["x", "y"] or len(cols) > 3 or (len(cols) == 3 and cols[2] != "w"):
             raise InputError(f"{path}: header must be x,y[,w], got {header}")
-        xs, ys, ws = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(cols):
-                raise InputError(f"{path}:{lineno}: expected {len(cols)} fields, "
-                                 f"got {len(row)}")
-            vals = []
-            for col, cell in zip(cols, row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{lineno}: column {col!r} is not numeric: {cell!r}"
-                    ) from None
-            xs.append(vals[0])
-            ys.append(vals[1])
-            if len(cols) == 3:
-                ws.append(vals[2])
-        if not xs:
-            raise InputError(f"{path}: no data rows")
+        try:
+            with warnings.catch_warnings():
+                # an empty body reads as shape (0, 1); the loop reports it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != len(cols):
+            fh.seek(0)
+            table = _read_xy_rows(fh, path, cols)
+    # fresh contiguous columns, as np.array of a list gives
+    xs, ys, *ws = map(np.array, table.T)
     try:
-        return DataSet(np.array(xs), np.array(ys),
-                       np.array(ws) if ws else None)
+        return DataSet(xs, ys, ws[0] if ws else None)
     except DomainError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _read_xy_rows(fh, path, cols):
+    """The reference reader: ``float()`` per cell, one row at a time."""
+    reader = csv.reader(fh)
+    next(reader)  # the header, already checked
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(cols):
+            raise InputError(f"{path}:{lineno}: expected {len(cols)} fields, "
+                             f"got {len(row)}")
+        vals = []
+        for col, cell in zip(cols, row):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise InputError(
+                    f"{path}:{lineno}: column {col!r} is not numeric: {cell!r}"
+                ) from None
+        rows.append(vals)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return np.array(rows)
+
+
 def read_points_file(path):
+    pts = []
     try:
         with open(path, encoding="utf-8") as fh:
-            pts = [float(line) for line in fh if line.strip()]
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    pts.append(float(line))
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: point is not numeric: "
+                                     f"{line.strip()!r}") from None
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
     if not pts:
         raise InputError(f"{path}: no points")
     return np.array(pts)
+
+
+def _write_xy_csv(path, header, xs, ys):
+    """Write two float columns as ``csv.writer`` would: round-trip reprs and
+    ``\\r\\n`` line ends.  ``path`` None writes to stdout."""
+    with open(path, "w", newline="", encoding="utf-8") if path \
+            else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(map("{!r},{!r}\r\n".format, xs.tolist(), ys.tolist()))
 
 
 def _emit(doc, out_path):
@@ -166,12 +202,7 @@ def _fit_doc(fit, predictions):
 
 def _write_curve(path, fit, lo, hi, samples=201):
     xs = np.linspace(lo, hi, samples)
-    ys = predict(fit, xs)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y_fit"])
-        for x, y in zip(xs, ys):
-            writer.writerow([repr(float(x)), repr(float(y))])
+    _write_xy_csv(path, "x,y_fit", xs, predict(fit, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +210,8 @@ def _write_curve(path, fit, lo, hi, samples=201):
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args):
-    lams = _parse_lambdas(args.lam)
-    predict_at = [float(p) for p in args.predict.split(",")] if args.predict else []
+    lams = _parse_floats("--lambda", args.lam)
+    predict_at = _parse_floats("--predict", args.predict) if args.predict else []
     results = []
     data = None
     if args.input:
@@ -236,7 +267,7 @@ def cmd_fit(args):
 
 
 def cmd_orthpoly(args):
-    lam = float(args.lam)
+    lam = args.lam
     lo, hi = _parse_interval(args.interval)
     if args.points_file:
         points = read_points_file(args.points_file)
@@ -272,13 +303,13 @@ def cmd_solve_fde(args):
     prob = FdeProblem(terms=tuple(zip(alphas, coeffs)), reaction=args.reaction,
                       rhs=rhs.frac if rhs.frac is not None else rhs.fn,
                       initial_value=args.y0)
-    fit = solve_fde(prob, float(args.lam), args.degree, basis_kind=args.basis)
+    fit = solve_fde(prob, args.lam, args.degree, basis_kind=args.basis)
     grid = np.linspace(0.0, 1.0, 11)
     doc = {
         "job": "solve-fde",
         "params": {"alphas": alphas, "term_coeffs": coeffs,
                    "reaction": args.reaction, "y0": args.y0, "rhs": args.rhs,
-                   "lambda": float(args.lam), "degree": args.degree,
+                   "lambda": args.lam, "degree": args.degree,
                    "basis": args.basis},
         "coeffs": _jsonable(fit.coeffs),
         "error": fit.error,
@@ -297,14 +328,14 @@ def cmd_price(args):
         gbm=GbmConfig(s0=args.s0, r=args.rate, sigma=args.sigma,
                       horizon=args.horizon, steps=args.steps, paths=args.paths,
                       seed=args.seed),
-        strike=args.strike, lam=float(args.lam), basis_degree=args.degree)
+        strike=args.strike, lam=args.lam, basis_degree=args.degree)
     res = price_american_put(job)
     doc = {
         "job": "price",
         "params": {"s0": args.s0, "rate": args.rate, "sigma": args.sigma,
                    "strike": args.strike, "horizon": args.horizon,
                    "steps": args.steps, "paths": args.paths, "seed": args.seed,
-                   "lambda": float(args.lam), "degree": args.degree},
+                   "lambda": args.lam, "degree": args.degree},
         "price": res.price,
         "std_error": res.std_error,
         "european": res.european,
@@ -346,13 +377,7 @@ def cmd_reproduce(args):
 def cmd_noise(args):
     data = read_xy_csv(args.input)
     noisy = add_noise(data, args.percent, args.seed)
-    rows = [["x", "y"]] + [[repr(float(x)), repr(float(y))]
-                           for x, y in zip(noisy.xs, noisy.ys)]
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-    else:
-        csv.writer(sys.stdout).writerows(rows)
+    _write_xy_csv(args.out, "x,y", noisy.xs, noisy.ys)
     return EXIT_OK
 
 
@@ -385,7 +410,7 @@ def build_parser():
     fit.set_defaults(run=cmd_fit)
 
     orth = sub.add_parser("orthpoly", help="build a weight-orthogonal ladder")
-    orth.add_argument("--lambda", dest="lam", required=True)
+    orth.add_argument("--lambda", dest="lam", type=float, required=True)
     orth.add_argument("--degree", type=int, required=True)
     orth.add_argument("--weight", default="unit", help="unit or jacobi:bl:br")
     orth.add_argument("--interval", default="0:1")
@@ -401,7 +426,7 @@ def build_parser():
     fde.add_argument("--reaction", type=float, default=0.0)
     fde.add_argument("--rhs", required=True, help="named right-hand side function")
     fde.add_argument("--y0", type=float, default=0.0)
-    fde.add_argument("--lambda", dest="lam", required=True)
+    fde.add_argument("--lambda", dest="lam", type=float, required=True)
     fde.add_argument("--degree", type=int, required=True)
     fde.add_argument("--basis", choices=("monomial", "muntz_legendre"),
                      default="monomial")
@@ -417,7 +442,7 @@ def build_parser():
     price.add_argument("--horizon", type=float, required=True, help="years")
     price.add_argument("--steps", type=int, default=60)
     price.add_argument("--paths", type=int, default=10000)
-    price.add_argument("--lambda", dest="lam", required=True)
+    price.add_argument("--lambda", dest="lam", type=float, required=True)
     price.add_argument("--degree", type=int, default=2)
     price.add_argument("--seed", type=int, default=0)
     price.add_argument("--out")

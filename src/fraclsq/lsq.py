@@ -263,6 +263,8 @@ def add_noise(data, percent, seed):
     """
     if _integer("noise seed", seed) < 0:
         raise DomainError(f"noise seed must be >= 0, got {seed}")
+    if not np.isfinite(percent):
+        raise DomainError(f"noise percent must be finite, got {percent}")
     if percent < 0:
         raise DomainError(f"noise percent must be >= 0, got {percent}")
     if percent == 0:

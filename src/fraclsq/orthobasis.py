@@ -216,12 +216,14 @@ def build_continuous(weight, lam, n, rule=None, quad_points=DEFAULT_QUAD_POINTS)
 def build_discrete(weight_values, points, lam, n):
     """Monic basis orthogonal under the weighted sum over the given points.
 
-    ``weight_values`` may be None for the unit weight.  Needs at least n+1
-    distinct points, all >= 0.
+    ``weight_values`` may be None for the unit weight, else finite and
+    positive.  Needs at least n+1 distinct points, all finite and >= 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or len(pts) == 0:
         raise DomainError("points must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("discrete points must be finite")
     if np.any(pts < 0):
         raise DomainError("discrete points must be >= 0")
     if len(np.unique(pts)) != len(pts):
@@ -238,6 +240,6 @@ def build_discrete(weight_values, points, lam, n):
         w = np.asarray(weight_values, dtype=float)
         if w.shape != pts.shape:
             raise UsageError("weight_values and points must have equal length")
-        if np.any(w <= 0):
-            raise DomainError("weight values must be strictly positive")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise DomainError("weight values must be finite and strictly positive")
     return _recurrence(pts, w, lam, n, "discrete", float(pts.min()), float(pts.max()))

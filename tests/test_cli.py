@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -8,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclsq.cli import main
+from fraclsq import cli
+from fraclsq.cli import main, read_xy_csv
 
 
 def run_cli(args, capsys):
@@ -137,6 +140,17 @@ def test_fit_curve_out(sales_csv, capsys, tmp_path):
     lines = curve.read_text().strip().splitlines()
     assert lines[0] == "x,y_fit"
     assert len(lines) == 202
+    # byte for byte what csv.writer gives for the repr of every sample
+    from fraclsq import FitResult, predict
+    doc = json.loads(run_cli(["fit", "--input", str(sales_csv), "--lambda", "1",
+                              "--degree", "1"], capsys)[1])
+    fit = FitResult(doc["basis"], doc["lambda"], np.array(doc["coeffs"]),
+                    doc["error"], doc["cond"], *doc["interval"])
+    xs = np.linspace(fit.lo, fit.hi, 201)
+    want = io.StringIO(newline="")
+    csv.writer(want).writerows([["x", "y_fit"]] + [[repr(float(x)), repr(float(y))]
+                                                   for x, y in zip(xs, predict(fit, xs))])
+    assert curve.read_bytes() == want.getvalue().encode()
 
 
 def test_fit_empty_csv_is_input_error(tmp_path, capsys):
@@ -155,6 +169,65 @@ def test_fit_malformed_csv_has_row_diagnostic(tmp_path, capsys):
         ["fit", "--input", str(p), "--lambda", "1", "--degree", "1"], capsys)
     assert code == 2
     assert ":3:" in err and "'y'" in err
+
+
+def _float_cells(text):
+    """The reference parse: float() of every cell of every non-blank row."""
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if any(c.strip() for c in r)]
+    return np.array([[float(c) for c in r] for r in rows[1:]])
+
+
+_FORMS = ["0.0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+          "0.1000000000000000055511151231257827", ".5", "5.", "1E+05", "-0.0e0",
+          "123456789012345678901234.5", "4.9406564584124654e-324", "3"]
+# random finite doubles over the whole exponent range, printed three ways
+_BITS = np.random.default_rng(5).integers(0, 0x7FEFFFFFFFFFFFFF, 1000, dtype=np.int64)
+_FORMS += [form % v for v in _BITS.view(float).tolist() for form in ("%r", "%.25e", "%.12g")]
+
+
+@pytest.mark.parametrize("text,fallback", [
+    ("x,y\r\n" + "".join(f"{a},{b}\r\n" for a, b in zip(_FORMS, _FORMS[::-1])), False),
+    ("x,y,w\n0.5,1.5,2\n1,2,.25\n", False),
+    ("x,y\n1,2\n\n3,4\n", False),
+    ("x,y\n1,2\n   \n3,4\n", True),
+    ('x,y\n"1",2\n3,"4.5"\n', True),
+    ("x,y\n1_000,2\n3,4\n", True),
+    ("x,y\n  1 ,\t2.5 \n3 , 4\n", False),
+    ("x,y\n1,2\n3,4\n\n", False),
+], ids=["crlf-forms", "w-column", "blank-line", "whitespace-line", "quoted", "underscore",
+        "padded", "trailing-blank"])
+def test_read_xy_csv_matches_float_of_cells(tmp_path, monkeypatch, text, fallback):
+    p = tmp_path / "data.csv"
+    p.write_bytes(text.encode())
+    calls = []
+    reference_loop = cli._read_xy_rows
+    monkeypatch.setattr(cli, "_read_xy_rows",
+                        lambda *a: calls.append(a) or reference_loop(*a))
+    data = read_xy_csv(str(p))
+    want = _float_cells(text)
+    got = np.column_stack([data.xs, data.ys] + ([data.weights] if want.shape[1] == 3 else []))
+    assert got.tobytes() == want.tobytes()
+    assert data.xs.flags.c_contiguous and data.ys.flags.c_contiguous
+    assert len(calls) == int(fallback)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,10\n2,oops\n3,30\n", ":3: column 'y' is not numeric: 'oops'"),
+    ("1,10\n2\n3,30\n", ":3: expected 2 fields, got 1"),
+    ("1,10,\n2,20,\n", ":2: expected 2 fields, got 3"),
+    ("1,10\n2,20,\n", ":3: expected 2 fields, got 3"),
+    ("", ": no data rows"),
+    ("\n\n", ": no data rows"),
+    ("\n  \n\n", ": no data rows"),
+], ids=["bad-cell", "ragged", "trailing-commas", "one-trailing-comma", "header-only",
+        "blank-body", "whitespace-body"])
+def test_fit_csv_diagnostics(tmp_path, capsys, body, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("x,y\n" + body, encoding="utf-8")
+    code, out, err = run_cli(
+        ["fit", "--input", str(p), "--lambda", "1", "--degree", "1"], capsys)
+    assert code == 2
+    assert out == "" and err == f"error: {p}{message}\n"
 
 
 def test_fit_bad_header(tmp_path, capsys):
@@ -219,6 +292,25 @@ def test_orthpoly_discrete_points_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["B"][0] == pytest.approx(0.5)
     assert doc["params"]["mode"] == "discrete"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_orthpoly_nonfinite_points_file_is_input_error(tmp_path, capsys, bad):
+    pts = tmp_path / "points.txt"
+    pts.write_text(f"0.0\n{bad}\n1.0\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["orthpoly", "--points-file", str(pts), "--lambda", "1", "--degree", "1"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: discrete points must be finite\n"
+
+
+def test_orthpoly_points_file_names_the_bad_line(tmp_path, capsys):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0.0\n\nabc\n1.0\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["orthpoly", "--points-file", str(pts), "--lambda", "1", "--degree", "1"], capsys)
+    assert code == 2
+    assert out == "" and err == f"error: {pts}:3: point is not numeric: 'abc'\n"
 
 
 def test_orthpoly_degenerate_is_numerical_failure(tmp_path, capsys):
@@ -298,6 +390,26 @@ def test_nonfinite_options_are_input_errors(args, named, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["orthpoly", "--lambda", "abc", "--degree", "2"], "--lambda"),
+    (_with(_FDE, "--lambda", "abc"), "--lambda"),
+    (_with(_PRICE, "--lambda", "0.5x"), "--lambda"),
+    (["fit", "--function", "x15", "--lambda", "0.5", "--degree", "2", "--predict", "abc"],
+     "--predict"),
+])
+def test_nonnumeric_options_are_input_errors(args, flag, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == "" and flag in err
+    assert "Traceback" not in err
+
+
+def test_lambda_param_keeps_its_json_form(capsys):
+    code, out, _ = run_cli(["orthpoly", "--lambda", "1", "--degree", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"]["lambda"] == 1.0 and '"lambda": 1.0,' in out
+
+
 # ---------------------------------------------------------------------------
 # reproduce / noise
 # ---------------------------------------------------------------------------
@@ -370,6 +482,25 @@ def test_noise_roundtrip(tmp_path, sales_csv, capsys):
     ys2 = np.array([float(r.split(",")[1])
                     for r in out_csv.read_text().strip().splitlines()[1:]])
     assert np.array_equal(ys, ys2)
+
+
+_NOISY_SALES = (b"x,y\r\n1.0,9598.581532008562\r\n2.0,21254.992402432952\r\n"
+                b"3.0,45859.136432394414\r\n4.0,72296.36707144833\r\n")
+
+
+def test_noise_output_bytes(tmp_path, sales_csv, capsys):
+    out_csv = tmp_path / "noisy.csv"
+    args = ["noise", "--input", str(sales_csv), "--percent", "5", "--seed", "9"]
+    assert run_cli(args + ["--out", str(out_csv)], capsys) == (0, "", "")
+    assert out_csv.read_bytes() == _NOISY_SALES
+    assert run_cli(args, capsys) == (0, _NOISY_SALES.decode(), "")
+
+
+def test_noise_nonfinite_percent_is_input_error(sales_csv, capsys):
+    code, out, err = run_cli(
+        ["noise", "--input", str(sales_csv), "--percent", "nan"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: noise percent must be finite, got nan\n"
 
 
 def test_unknown_verb_is_input_error(capsys):

@@ -311,6 +311,16 @@ def test_add_noise_rejects_bad_seeds(seed, match):
         add_noise(data, 0.0, seed)
 
 
+@pytest.mark.parametrize("percent,match", [
+    (math.nan, "percent must be finite"), (math.inf, "percent must be finite"),
+    (-1.0, "percent must be >= 0"),
+])
+def test_add_noise_rejects_bad_percent(percent, match):
+    data = DataSet([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+    with pytest.raises(DomainError, match=match):
+        add_noise(data, percent, 0)
+
+
 def test_add_noise_scales_with_percent():
     rng_data = DataSet(np.linspace(10, 20, 200), np.linspace(10, 20, 200) ** 1.5)
     d5 = add_noise(rng_data, 5.0, 7)

@@ -197,6 +197,14 @@ def test_discrete_errors():
         build_discrete([1.0, -1.0, 1.0], [0.0, 0.5, 1.0], 1.0, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_discrete_rejects_nonfinite_points_and_weights(bad):
+    with pytest.raises(DomainError, match="points must be finite"):
+        build_discrete(None, [0.0, 0.5, bad], 1.0, 1)
+    with pytest.raises(DomainError, match="weight values must be finite"):
+        build_discrete([1.0, bad, 1.0], [0.0, 0.5, 1.0], 1.0, 1)
+
+
 # ---------------------------------------------------------------------------
 # inner_product
 # ---------------------------------------------------------------------------
