@@ -16,14 +16,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    ConvergenceError,
-    DegeneracyError,
-    DomainError,
-    FraclsqError,
-    UsageError,
-)
+from .errors import DomainError, FraclsqError, UsageError
 from .fraccalc import FdeProblem, solve_fde
 from .functions import NAMED_FUNCTIONS, lookup
 from .lsq import DataSet, add_noise, fit_continuous_normal, fit_discrete_normal, \
@@ -77,6 +70,21 @@ def _parse_weight(text, lo, hi):
     raise InputError(f"unknown weight {text!r}; use unit or jacobi:bl:br")
 
 
+@contextlib.contextmanager
+def _text_input(path, **open_kw):
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped; a
+    file that cannot be opened or decoded raises InputError naming it."""
+    try:
+        fh = open(path, encoding="utf-8-sig", **open_kw)
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+
+
 def read_xy_csv(path):
     """Read a CSV with header x,y[,w]; returns a DataSet.
 
@@ -86,11 +94,7 @@ def read_xy_csv(path):
     rarer forms ``float()`` reads (quoted cells, ``1_000``, whitespace-only
     lines) and raises InputError naming the offending row/column.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from None
-    with fh:
+    with _text_input(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -144,18 +148,15 @@ def _read_xy_rows(fh, path, cols):
 
 def read_points_file(path):
     pts = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    pts.append(float(line))
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: point is not numeric: "
-                                     f"{line.strip()!r}") from None
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from None
+    with _text_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                pts.append(float(line))
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: point is not numeric: "
+                                 f"{line.strip()!r}") from None
     if not pts:
         raise InputError(f"{path}: no points")
     return np.array(pts)
@@ -291,13 +292,9 @@ def cmd_orthpoly(args):
 
 def cmd_solve_fde(args):
     rhs = lookup(args.rhs)
-    try:
-        alphas = [float(a) for a in args.alphas.split(",") if a]
-        coeffs = [float(c) for c in args.term_coeffs.split(",") if c] \
-            if args.term_coeffs else [1.0] * len(alphas)
-    except ValueError:
-        raise InputError("--alphas/--term-coeffs expect comma-separated numbers") \
-            from None
+    alphas = _parse_floats("--alphas", args.alphas)
+    coeffs = _parse_floats("--term-coeffs", args.term_coeffs) if args.term_coeffs \
+        else [1.0] * len(alphas)
     if len(coeffs) != len(alphas):
         raise InputError("--term-coeffs must match --alphas in length")
     prob = FdeProblem(terms=tuple(zip(alphas, coeffs)), reaction=args.reaction,
@@ -356,10 +353,7 @@ def cmd_reproduce(args):
         # name the flag, rather than fail inside the job with a TypeError
         if job is not None and name not in inspect.signature(job).parameters:
             raise InputError(f"table {args.table.upper()} does not read --{name}")
-    try:
-        rows = run_table(args.table, **kwargs)
-    except KeyError as exc:
-        raise InputError(str(exc.args[0])) from None
+    rows = run_table(args.table, **kwargs)
     for row in rows:
         print(row.format())
     n_fail = sum(not r.passed for r in rows)
@@ -473,15 +467,9 @@ def main(argv=None):
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (InputError, UsageError, KeyError) as exc:
+    except (InputError, UsageError, DomainError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConditioningError, DegeneracyError, ConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FraclsqError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

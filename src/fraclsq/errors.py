@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one lambda check."""
 
 
 class FraclsqError(Exception):
@@ -41,3 +41,9 @@ class ConditioningError(FraclsqError, RuntimeError):
 
 class UsageError(FraclsqError, ValueError):
     """Inconsistent combination of arguments (e.g. mode mismatch)."""
+
+
+def check_lambda(lam):
+    """Raise DomainError unless the ladder step ``lam`` lies in (0, 2]."""
+    if not 0 < lam <= 2:
+        raise DomainError(f"lambda must lie in (0, 2], got {lam}")

@@ -32,9 +32,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConditioningError, DegeneracyError, DomainError
+from .errors import ConditioningError, DegeneracyError, DomainError, check_lambda
 from .fracpoly import muntz_legendre_coeffs
-from .lsq import FitResult, predict
+from .lsq import FitResult, _normal_solve, _sse, predict
 from .solvers import solve_normal_equations
 from . import quadrature as quad
 from .special import gamma
@@ -228,10 +228,11 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
 
     With a FracFunction right-hand side and no explicit rule, all normal-
     equation entries are exact rational moments (interval [0, 1] only);
-    otherwise the supplied quadrature rule evaluates them pointwise.
+    otherwise the quadrature rule samples the residual and ``lsq``'s float
+    least-squares core solves and scores it.  Either route raises
+    DegeneracyError when its normal equations are singular.
     """
-    if not 0 < lam <= 2:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     if n < 0 or n + 1 > MAX_FDE_SIZE:
         raise DomainError(f"degree index must be in [0, {MAX_FDE_SIZE - 1}]")
     if prob.rhs is None:
@@ -243,45 +244,37 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
             for phi in phis]
 
     exact_ok = isinstance(prob.rhs, FracFunction) and rule is None and prob.hi == 1.0
-    if exact_ok:
-        F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
-        # the augmented system [G | d] as integers over one denominator
-        N, D = _exact_gram(psis, psis + [F])
-        Gd = (N / D).astype(float)
-        try:
+    try:
+        if exact_ok:
+            F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
+            # the augmented system [G | d] as integers over one denominator
+            N, D = _exact_gram(psis, psis + [F])
+            Gd = (N / D).astype(float)
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
             coeffs, cond = solve_normal_equations(Gd[:, :-1], Gd[:, -1], (N, D),
                                                   allow_semidefinite=True)
-        except ConditioningError as exc:
-            raise DegeneracyError(
-                f"residual normal equations are singular: {exc}") from exc
-        resid = FracFunction.from_terms(
-            [(a * c, e) for a, psi in zip(coeffs, psis) for c, e in psi.coeff_pairs]
-            + [(-c, e) for c, e in F.coeff_pairs]
-        )
-        N, D = _exact_gram([resid], [resid])
-        error = N[0, 0] / D
-    else:
-        if rule is None:
-            # the x^step substitution makes the residual integrands exactly
-            # polynomial when the operator images share an exponent step
-            exps = {e for psi in psis for e, _ in psi.terms}
-            rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
-        fvals = quad.sample(prob.rhs, rule.nodes) + prob.initial_value
-        M = np.column_stack([psi(rule.nodes) for psi in psis])
-        G = (M * rule.weights[:, None]).T @ M
-        d = M.T @ (rule.weights * fvals)
-        try:
-            coeffs, cond = solve_normal_equations(G, d, allow_semidefinite=True)
-        except ConditioningError as exc:
-            raise DegeneracyError(
-                f"residual normal equations are singular: {exc}") from exc
-        r = M @ coeffs - fvals
-        error = float(np.sum(rule.weights * r * r))
-
-    return FitResult(basis_kind, lam, coeffs, max(error, 0.0), cond,
-                     0.0, prob.hi)
+            resid = FracFunction.from_terms(
+                [(a * c, e) for a, psi in zip(coeffs, psis) for c, e in psi.coeff_pairs]
+                + [(-c, e) for c, e in F.coeff_pairs]
+            )
+            N, D = _exact_gram([resid], [resid])
+            error = N[0, 0] / D
+        else:
+            if rule is None:
+                # the x^step substitution makes the residual integrands exactly
+                # polynomial when the operator images share an exponent step
+                exps = {e for psi in psis for e, _ in psi.terms}
+                rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
+            w = rule.weights
+            fvals = quad.sample(prob.rhs, rule.nodes) + prob.initial_value
+            M = np.column_stack([psi(rule.nodes) for psi in psis])
+            coeffs, cond, fitted = _normal_solve((M * w[:, None]).T @ M, M, fvals, w,
+                                                 allow_semidefinite=True)
+            error = _sse(fvals, fitted, w)
+    except ConditioningError as exc:
+        raise DegeneracyError(f"residual normal equations are singular: {exc}") from exc
+    return FitResult(basis_kind, lam, coeffs, error, cond, 0.0, prob.hi)
 
 
 def fde_abs_error(fit, exact, x):

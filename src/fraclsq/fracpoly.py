@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_lambda
 
 __all__ = [
     "FractionalPolynomial",
@@ -42,8 +42,7 @@ class FractionalPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        if not 0.0 < self.lam <= 2.0:
-            raise DomainError(f"lambda must lie in (0, 2], got {self.lam}")
+        check_lambda(self.lam)
         if len(self.coeffs) == 0:
             raise DomainError("coefficient sequence must be non-empty")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -153,8 +152,7 @@ def muntz_legendre_coeffs(n, lam):
             f"direct coefficient construction is limited to n <= {MAX_DIRECT_DEGREE} "
             f"(factorial overflow), got {n}"
         )
-    if not 0.0 < lam <= 2.0:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     coeffs = []
     for i in range(n + 1):
         num = 1.0
@@ -174,8 +172,7 @@ def muntz_legendre_rungs(n, lam, x):
     """Rung table of L_0(x; lam) .. L_n(x; lam) at finite x >= 0, through
     L_n(x; lam) = P_n^(0, 1/lam - 1)(2 x^lam - 1): stable where the direct
     coefficient sum cancels, and past x = 1 it extrapolates the polynomials."""
-    if not 0.0 < lam <= 2.0:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise DomainError(f"Muntz-Legendre polynomials take finite x >= 0, got x={x}")

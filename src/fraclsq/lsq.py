@@ -12,6 +12,9 @@ Three routes produce a fit over the ladder {1, x^lam, ..., x^(n*lam)}:
 Every result records which route produced it, the fitted coefficients, the
 least-squares error functional and a condition estimate of the solved
 system (1 for the projection route).
+
+It is also the float least-squares core of every sampled route (``solve_fde``'s
+quadrature path and LSMC too): :func:`_normal_solve` solves, :func:`_sse` scores.
 """
 
 import operator
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, UsageError
+from .errors import ConditioningError, DomainError, UsageError, check_lambda
 from .fracpoly import (
     FractionalPolynomial,
     frac_poly_linear_combine,
@@ -116,23 +119,25 @@ def _monomial_values(lam, n, x):
     return np.asarray(x, dtype=float)[..., None] ** (lam * np.arange(n + 1))
 
 
-def _normal_solve(n, moments, V, ys, w):
-    """Solve the monomial normal equations: on the ladder x^(i lam) x^(j lam)
-    = x^((i+j) lam), so the normal matrix is Hankel in the 2n+1 moments.
+def _hankel(moments):
+    """The ladder's normal matrix from its 2n+1 moments: x^(i lam) x^(j lam)
+    = x^((i+j) lam), so entry (i, j) is moment i+j."""
+    idx = np.arange(len(moments) // 2 + 1)
+    return moments[idx[:, None] + idx[None, :]]
 
-    Returns the coefficients, the condition estimate and the fitted values
-    V @ coeffs at V's points."""
-    idx = np.arange(n + 1)
-    A = moments[idx[:, None] + idx[None, :]]
-    coeffs, cond = solve_normal_equations(A, V.T @ (w * ys))
+
+def _normal_solve(A, V, ys, w, **solver_options):
+    """Solve the weighted normal equations A c = V^T (w * ys) for an assembled
+    A, passing ``solver_options`` on; returns the coefficients, the condition
+    estimate and the fitted values V @ coeffs at V's points."""
+    coeffs, cond = solve_normal_equations(A, V.T @ (w * ys), **solver_options)
     return coeffs, cond, V @ coeffs
 
 
-def _monomial_fit(lam, coeffs, cond, fitted, ys, w, lo, hi):
-    """The monomial fit, with the weighted squared residual as its error."""
+def _sse(ys, fitted, w):
+    """sum(w * (ys - fitted)^2), the error of every sampled route."""
     resid = ys - fitted
-    error = float(np.sum(w * resid * resid))
-    return FitResult("monomial", lam, coeffs, max(error, 0.0), cond, lo, hi)
+    return float(np.sum(w * resid * resid))
 
 
 def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
@@ -144,8 +149,7 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
     """
     if not 0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-    if not 0 < lam <= 2:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     if n < 0 or n + 1 > MAX_CONTINUOUS_SIZE:
         raise DomainError(f"degree index must be in [0, {MAX_CONTINUOUS_SIZE - 1}]")
     if rule is None:
@@ -153,9 +157,11 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
                                 fallback_step=lam)
     moments = np.array([quad.frac_moment(lo, hi, lam * k) for k in range(2 * n + 1)])
     ys = quad.sample(y, rule.nodes)
-    coeffs, cond, fitted = _normal_solve(n, moments, _monomial_values(lam, n, rule.nodes),
-                                         ys, rule.weights)
-    return _monomial_fit(lam, coeffs, cond, fitted, ys, rule.weights, lo, hi)
+    coeffs, cond, fitted = _normal_solve(_hankel(moments),
+                                         _monomial_values(lam, n, rule.nodes), ys,
+                                         rule.weights)
+    return FitResult("monomial", lam, coeffs, _sse(ys, fitted, rule.weights), cond,
+                     lo, hi)
 
 
 def fit_discrete_normal(data, lam, n):
@@ -172,8 +178,7 @@ def fit_discrete_normal(data, lam, n):
 def _fit_discrete_values(data, lam, n):
     """:func:`fit_discrete_normal` and its fitted values at ``data.xs``, equal
     bit for bit to ``predict(fit, data.xs)``, from the one power table."""
-    if not 0 < lam <= 2:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     if n < 0:
         raise DomainError(f"degree index must be >= 0, got {n}")
     if len(data) < n + 1:
@@ -184,11 +189,12 @@ def _fit_discrete_values(data, lam, n):
     w = data.weight_array()
     # direct powers x^(k lam), k = 0..2n: moments are the power sums
     P = _monomial_values(lam, 2 * n, data.xs)
-    coeffs, cond, fitted = _normal_solve(n, np.einsum("k,km->m", w, P), P[:, :n + 1],
-                                         data.ys, w)
+    coeffs, cond, fitted = _normal_solve(_hankel(np.einsum("k,km->m", w, P)),
+                                         P[:, :n + 1], data.ys, w)
     del P  # the largest array: freed before the residual's temporaries
     lo, hi = float(np.min(data.xs)), float(np.max(data.xs))
-    return _monomial_fit(lam, coeffs, cond, fitted, data.ys, w, lo, hi), fitted
+    fit = FitResult("monomial", lam, coeffs, _sse(data.ys, fitted, w), cond, lo, hi)
+    return fit, fitted
 
 
 def fit_projection(target, basis):
@@ -210,9 +216,7 @@ def fit_projection(target, basis):
     w = basis.ip_weights
     R = basis.ladder_values(basis.points)
     coeffs = R @ (w * yvals) / np.asarray(basis.sq_norms)
-    resid = yvals - R.T @ coeffs
-    error = float(np.sum(w * resid * resid))
-    return FitResult("orthogonal", basis.lam, coeffs, max(error, 0.0), 1.0,
+    return FitResult("orthogonal", basis.lam, coeffs, _sse(yvals, R.T @ coeffs, w), 1.0,
                      basis.lo, basis.hi, basis_ref=basis)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, RankDeficiencyError, UsageError
+from .errors import DegeneracyError, DomainError, RankDeficiencyError, UsageError, check_lambda
 from .fracpoly import (
     FractionalPolynomial,
     frac_poly_linear_combine,
@@ -205,8 +205,7 @@ def build_continuous(weight, lam, n, rule=None, quad_points=DEFAULT_QUAD_POINTS)
     """
     if n < 0:
         raise DomainError(f"degree index must be >= 0, got {n}")
-    if not 0 < lam <= 2:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     if rule is None:
         rule = default_rule(weight, lam, max(quad_points, 2 * n + 8))
     return _recurrence(rule.nodes, rule.weights, lam, n, "continuous",
@@ -232,8 +231,7 @@ def build_discrete(weight_values, points, lam, n):
         raise RankDeficiencyError(
             f"{len(pts)} points cannot support degree index {n}", index=n
         )
-    if not 0 < lam <= 2:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     if weight_values is None:
         w = np.ones_like(pts)
     else:

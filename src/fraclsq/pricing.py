@@ -15,11 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, check_lambda
 from .lsq import DataSet, _fit_discrete_values, _integer
 
 __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
            "price_american_put"]
+
+#: cap on steps * paths, which keeps one job's memory bounded
+PATH_STEP_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,9 @@ class GbmConfig:
     """Geometric Brownian motion sampling grid.
 
     Rates are per year, volatility per sqrt(year), horizon in years; the
-    grid has ``steps`` exercise dates after time zero.  ``budget`` caps
-    steps*paths to keep one job's memory bounded.  ``steps``, ``paths`` and
-    the non-negative ``seed`` are integers (numpy integers are accepted).
+    grid has ``steps`` exercise dates after time zero, and steps*paths may
+    not exceed ``PATH_STEP_BUDGET``.  ``steps``, ``paths`` and the
+    non-negative ``seed`` are integers (numpy integers are accepted).
     """
 
     s0: float
@@ -39,7 +42,6 @@ class GbmConfig:
     steps: int
     paths: int
     seed: int = 0
-    budget: int = 10_000_000
 
     def __post_init__(self):
         for name in ("steps", "paths", "seed"):
@@ -57,10 +59,10 @@ class GbmConfig:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.steps < 1 or self.paths < 1:
             raise DomainError("need at least one step and one path")
-        if self.steps * self.paths > self.budget:
+        if self.steps * self.paths > PATH_STEP_BUDGET:
             raise DomainError(
                 f"steps*paths = {self.steps * self.paths} exceeds the budget "
-                f"of {self.budget} path-steps"
+                f"of {PATH_STEP_BUDGET} path-steps"
             )
 
 
@@ -76,8 +78,7 @@ class LsmcJob:
     def __post_init__(self):
         if not (self.strike > 0 and math.isfinite(self.strike)):
             raise DomainError(f"strike must be positive and finite, got {self.strike}")
-        if not 0 < self.lam <= 2:
-            raise DomainError(f"lambda must lie in (0, 2], got {self.lam}")
+        check_lambda(self.lam)
         object.__setattr__(self, "basis_degree",
                            _integer("basis degree", self.basis_degree))
         if self.basis_degree < 1:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import DomainError
+from .errors import DomainError, check_lambda
 
 __all__ = [
     "QuadratureRule",
@@ -46,16 +46,14 @@ MAX_POINTS = 256
 class QuadratureRule:
     """Nodes and weights approximating integral of weight(x) * f(x) on [lo, hi].
 
-    ``weight_kind`` is a human-readable descriptor: "unit" for weight 1, or
-    "jacobi(bl,br)" for the built-in factor (x-lo)^bl (hi-x)^br.  ``integrate``
-    never re-applies the weight; it is folded into the weights array.
+    Any weight factor, such as the Gauss-Jacobi (x-lo)^bl (hi-x)^br, is
+    folded into the weights array; ``integrate`` never re-applies it.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     lo: float
     hi: float
-    weight_kind: str = "unit"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -81,7 +79,7 @@ def gauss_legendre(m, lo=-1.0, hi=1.0):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     t, w = np.polynomial.legendre.leggauss(m)
     half = 0.5 * (hi - lo)
-    return QuadratureRule(lo + half * (t + 1.0), half * w, lo, hi, "unit")
+    return QuadratureRule(lo + half * (t + 1.0), half * w, lo, hi)
 
 
 def gauss_jacobi(m, beta_left, beta_right, lo=-1.0, hi=1.0):
@@ -99,15 +97,13 @@ def gauss_jacobi(m, beta_left, beta_right, lo=-1.0, hi=1.0):
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if beta_left == 0.0 and beta_right == 0.0:
-        rule = gauss_legendre(m, lo, hi)
-        return rule
+        return gauss_legendre(m, lo, hi)
     # scipy's convention: weight (1-t)^alpha (1+t)^beta on [-1, 1], so the
     # right-endpoint factor maps to alpha and the left one to beta.
     t, w = roots_jacobi(m, beta_right, beta_left)
     half = 0.5 * (hi - lo)
     scale = half ** (beta_left + beta_right + 1)
-    kind = f"jacobi({beta_left:g},{beta_right:g})"
-    return QuadratureRule(lo + half * (t + 1.0), scale * w, lo, hi, kind)
+    return QuadratureRule(lo + half * (t + 1.0), scale * w, lo, hi)
 
 
 def sample(f, points):
@@ -163,7 +159,7 @@ def substituted_rule(m, step, hi=1.0):
     base = gauss_jacobi(m, 1.0 / step - 1.0, 0.0, 0.0, 1.0)
     nodes = hi * base.nodes ** (1.0 / step)
     weights = (hi / step) * base.weights
-    return QuadratureRule(nodes, weights, 0.0, hi, "unit")
+    return QuadratureRule(nodes, weights, 0.0, hi)
 
 
 def weighted_rule(m, lam, beta_left=0.0, beta_right=0.0):
@@ -174,8 +170,7 @@ def weighted_rule(m, lam, beta_left=0.0, beta_right=0.0):
     endpoint factors; the leftover smooth factor ((1-x)/(1-u))^beta_right is
     folded into the weights (evaluated via expm1/log to survive u near 1).
     """
-    if not 0 < lam <= 2:
-        raise DomainError(f"lambda must lie in (0, 2], got {lam}")
+    check_lambda(lam)
     if not (beta_left > -1 and beta_right > -1):
         raise DomainError(
             f"endpoint exponents must exceed -1, got ({beta_left}, {beta_right})"
@@ -188,10 +183,7 @@ def weighted_rule(m, lam, beta_left=0.0, beta_right=0.0):
     if beta_right != 0.0 and lam != 1.0:
         one_minus_x = -np.expm1(np.log(u) / lam)
         w = w * (one_minus_x / (1.0 - u)) ** beta_right
-    kind = "unit" if beta_left == beta_right == 0.0 else (
-        f"jacobi({beta_left:g},{beta_right:g})"
-    )
-    return QuadratureRule(x, w, 0.0, 1.0, kind)
+    return QuadratureRule(x, w, 0.0, 1.0)
 
 
 def common_step(exponents, max_den=1000):

@@ -313,6 +313,42 @@ def test_orthpoly_points_file_names_the_bad_line(tmp_path, capsys):
     assert out == "" and err == f"error: {pts}:3: point is not numeric: 'abc'\n"
 
 
+# input files are UTF-8: a leading byte-order mark is skipped, and a byte
+# that does not decode is an input error naming the file
+_INPUT_FILES = {
+    "fit": (lambda p: ["fit", "--input", str(p), "--lambda", "1", "--degree", "1"],
+            b"x,y\n0.1,1.0\n0.5,2.0\n0.9,2.5\n"),
+    # a quoted cell sends the CSV through the rewound per-row reader
+    "fit_quoted": (lambda p: ["fit", "--input", str(p), "--lambda", "1", "--degree", "1"],
+                   b'x,y\n"0.1",1.0\n0.5,2.0\n0.9,2.5\n'),
+    "orthpoly": (lambda p: ["orthpoly", "--points-file", str(p), "--lambda", "1",
+                            "--degree", "1"],
+                 b"0.1\n0.5\n0.9\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_FILES))
+def test_byte_order_mark_is_skipped(tmp_path, capsys, case):
+    args, body = _INPUT_FILES[case]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    code, out, err = run_cli(args(marked), capsys)
+    assert code == 0 and err == ""
+    _, want, _ = run_cli(args(plain), capsys)
+    assert out.replace(str(marked), "") == want.replace(str(plain), "")
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_FILES))
+def test_undecodable_input_is_input_error(tmp_path, capsys, case):
+    args, body = _INPUT_FILES[case]
+    path = tmp_path / "latin1"
+    path.write_bytes(body.replace(b"0.5", b"0.5\xff"))
+    code, out, err = run_cli(args(path), capsys)
+    assert code == 2
+    assert out == "" and err == f"error: {path}: not valid UTF-8 text (invalid start byte)\n"
+
+
 def test_orthpoly_degenerate_is_numerical_failure(tmp_path, capsys):
     pts = tmp_path / "points.txt"
     pts.write_text("0.0\n1.0\n", encoding="utf-8")
@@ -402,6 +438,14 @@ def test_nonnumeric_options_are_input_errors(args, flag, capsys):
     assert code == 2
     assert out == "" and flag in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--alphas", "--term-coeffs"])
+def test_solve_fde_number_lists_name_their_flag(flag, capsys):
+    code, out, err = run_cli(_with(_FDE, flag, "0.5,x"), capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} expects a comma-separated number list, got '0.5,x'\n"
 
 
 def test_lambda_param_keeps_its_json_form(capsys):

@@ -384,3 +384,49 @@ def test_exact_path_is_pinned_bit_for_bit(case):
     fit = solve_fde(prob, lam, 14, kind)
     assert [float(c).hex() for c in fit.coeffs] == coeffs
     assert float(fit.error).hex() == error
+
+
+def _manufactured(terms, reaction, solution):
+    bare = FdeProblem(terms=terms, reaction=reaction)
+    y = FracFunction.from_terms(solution)
+    return FdeProblem(terms=terms, reaction=reaction, rhs=apply_operator(bare, y),
+                      initial_value=y.at_zero())
+
+
+def _quadrature_only(prob):
+    """The same problem with its rhs hidden behind a plain callable."""
+    return FdeProblem(terms=prob.terms, reaction=prob.reaction,
+                      rhs=lambda x: prob.rhs(x), initial_value=prob.initial_value)
+
+
+# coefficients, error functional and condition estimate of the quadrature
+# path, as float hex strings: a substituted rule on both bases, and the
+# Gauss-Legendre fallback (1/sqrt(2) shares no step with the order 0.5)
+_QUADRATURE_PINNED = {
+    "multi_term_ml_n10": (
+        multi_term_problem()[0], 0.75, 10, "muntz_legendre",
+        ['0x1.b05b29141d2e0p-2', '0x1.6fb768f765296p-1', '0x1.198805fdfdb87p-1',
+         '0x1.f0d1e6abd74b8p-3', '0x1.ed30496e4cebdp-5', '0x1.bf456d5df089dp-8',
+         '0x1.a9327ef0ab0d6p-14', '-0x1.273f5ce32207bp-19', '-0x1.e1f3a89148c91p-24',
+         '0x1.a5b062314538bp-24', '-0x1.724d177a64381p-25'],
+        '0x1.4826c7cf78c1dp-49', '0x1.517f6f809c264p+14'),
+    "reaction_monomial_n4": (
+        _manufactured(((0.3, 1.0),), 1.0, [(1.3, 1.6)]), 0.7, 4, "monomial",
+        ['0x1.cfacabfb751f5p-9', '-0x1.a8c2872141d6bp-5', '0x1.cf38753a7aef6p-1',
+         '0x1.21af8d91373f1p-1', '-0x1.f6948b867eb4fp-4'],
+        '0x1.3ce0ceae5659cp-23', '0x1.c4daa35981eb2p+18'),
+    "gauss_legendre_monomial_n4": (
+        _manufactured(((0.5, 1.0),), 1.0, [(0.8, 2.3)]), 2 ** -0.5, 4, "monomial",
+        ['-0x1.baf777a169379p-9', '0x1.524cb2fca6b4fp-6', '-0x1.b1afbcb27e0dap-4',
+         '0x1.84c8d804bba70p-1', '0x1.09ddcf51295aep-3'],
+        '0x1.a88dd0ab80404p-25', '0x1.556307c9ce49ep+18'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUADRATURE_PINNED))
+def test_quadrature_path_is_pinned_bit_for_bit(case):
+    prob, lam, n, kind, coeffs, error, cond = _QUADRATURE_PINNED[case]
+    fit = solve_fde(_quadrature_only(prob), lam, n, kind)
+    assert [float(c).hex() for c in fit.coeffs] == coeffs
+    assert float(fit.error).hex() == error
+    assert float(fit.cond).hex() == cond

@@ -393,3 +393,56 @@ def test_continuous_and_projection_reject_nonfinite_targets():
     basis = build_continuous(WeightSpec.unit(), 0.5, 2)
     with pytest.raises(DomainError, match="not finite"):
         fit_projection(lambda x: np.inf * x, basis)
+
+
+# ---------------------------------------------------------------------------
+# sampled routes, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+def _pinned_data():
+    rng = np.random.default_rng(5)
+    xs = np.sort(rng.uniform(0.0, 2.0, 300))
+    ys = np.exp(-xs) + 0.05 * rng.standard_normal(300)
+    return DataSet(xs, ys, rng.uniform(0.5, 2.0, 300))
+
+
+def _fit_pinned(case):
+    data = _pinned_data()
+    if case == "continuous_normal":
+        return fit_continuous_normal(lookup("sqrt-shift").fn, 0.0, 1.0, 0.7, 5)
+    if case == "discrete_normal":
+        return fit_discrete_normal(data, 0.75, 4)
+    if case == "discrete_projection":
+        return fit_projection(data, build_discrete(data.weights, data.xs, 0.75, 4))
+    basis = build_continuous(WeightSpec.jacobi(0.5, -0.5), 1.39, 5)
+    return fit_projection(lookup("x075+x15").fn, basis)
+
+
+# coefficients, error and condition estimate as float hex strings
+_SAMPLED_PINNED = {
+    "continuous_normal": (
+        ['-0x1.8364c7ab20bb3p-1', '0x1.deba12e43bea5p+0', '-0x1.71367a2f9a203p+1',
+         '0x1.1d8ffc5d9f8bep+2', '-0x1.d3cb0aee26475p+1', '0x1.2e0377bb2b5eap+0'],
+        '0x1.e2f4193f2fcc5p-21', '0x1.7fa6dc1eed9acp+24'),
+    "discrete_normal": (
+        ['0x1.03691de223048p+0', '-0x1.6e0091e709727p-1', '0x1.e8e165ff31f4ep-8',
+         '0x1.29e4528768630p-4', '-0x1.aa4ec671137c4p-8'],
+        '0x1.c5d427a879942p-1', '0x1.7a1bc1600f70fp+18'),
+    "discrete_projection": (
+        ['0x1.b8c2f2e842d54p-2', '-0x1.0b352fb4bec95p-1', '0x1.50f4caeadb0e1p-3',
+         '0x1.9b38b44b27359p-5', '-0x1.aa4ec670c2a4cp-8'],
+        '0x1.c5d427a879943p-1', '0x1.0000000000000p+0'),
+    "jacobi_projection": (
+        ['0x1.795461b3be707p+0', '0x1.c751469416e98p+0', '-0x1.6380c55492f78p-2',
+         '0x1.148ef39b36627p-1', '-0x1.11847cae54da4p+0', '0x1.39933d6a72648p+1'],
+        '0x1.57e12dbb8ac32p-17', '0x1.0000000000000p+0'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLED_PINNED))
+def test_sampled_route_is_pinned_bit_for_bit(case):
+    coeffs, error, cond = _SAMPLED_PINNED[case]
+    fit = _fit_pinned(case)
+    assert [float(c).hex() for c in fit.coeffs] == coeffs
+    assert float(fit.error).hex() == error
+    assert float(fit.cond).hex() == cond
