@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
+#: points of the fitted-curve CSV that --curve-out writes
+CURVE_SAMPLES = 201
+
 
 class InputError(Exception):
     """Invalid file, option or CSV content; maps to exit code 2."""
@@ -179,21 +182,11 @@ def _emit(doc, out_path):
     print(text)
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _fit_doc(fit, predictions):
     return {
         "basis": fit.basis,
         "lambda": fit.lam,
-        "coeffs": _jsonable(fit.coeffs),
+        "coeffs": fit.coeffs.tolist(),
         "error": fit.error,
         "cond": fit.cond,
         "interval": [fit.lo, fit.hi],
@@ -201,8 +194,8 @@ def _fit_doc(fit, predictions):
     }
 
 
-def _write_curve(path, fit, lo, hi, samples=201):
-    xs = np.linspace(lo, hi, samples)
+def _write_curve(path, fit, lo, hi):
+    xs = np.linspace(lo, hi, CURVE_SAMPLES)
     _write_xy_csv(path, "x,y_fit", xs, predict(fit, xs))
 
 
@@ -281,10 +274,10 @@ def cmd_orthpoly(args):
         "job": "orthpoly",
         "params": {"lambda": lam, "degree": args.degree, "weight": args.weight,
                    "interval": [lo, hi], "mode": basis.mode},
-        "B": _jsonable(basis.B),
-        "C": _jsonable(basis.C),
-        "sq_norms": _jsonable(basis.sq_norms),
-        "polys": [_jsonable(p.coeffs) for p in basis.polys],
+        "B": basis.B,
+        "C": basis.C,
+        "sq_norms": basis.sq_norms,
+        "polys": [p.coeffs for p in basis.polys],
     }
     _emit(doc, args.out)
     return EXIT_OK
@@ -308,7 +301,7 @@ def cmd_solve_fde(args):
                    "reaction": args.reaction, "y0": args.y0, "rhs": args.rhs,
                    "lambda": args.lam, "degree": args.degree,
                    "basis": args.basis},
-        "coeffs": _jsonable(fit.coeffs),
+        "coeffs": fit.coeffs.tolist(),
         "error": fit.error,
         "cond": fit.cond,
         "solution_samples": [{"x": float(x), "value": float(predict(fit, x))}

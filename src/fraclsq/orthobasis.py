@@ -1,6 +1,6 @@
 """Weight-orthogonal bases of the fractional monomial space.
 
-The builder runs the monic three-term recurrence
+The builder runs the monic three-term recurrence (the Stieltjes procedure)
 
     L_0 = 1,  L_1 = x^lam - B_1,
     L_i = (x^lam - B_i) L_{i-1} - C_i L_{i-2},      i >= 2,
@@ -11,8 +11,10 @@ orthogonal under the chosen inner product: a weighted integral over [lo, hi]
 products involved) or a weighted sum over data points (discrete mode).
 
 Both modes share one representation: the inner product is carried as a pair
-of point/weight arrays, and polynomial arithmetic happens exactly in ladder
-coefficient space (multiplying by x^lam is an index shift).
+of point/weight arrays, and a basis is (lam, B, C, squared norms).  Its
+values come from one recurrence step over a table of rungs; its ladder
+coefficients are derived from (lam, B, C) by the same recurrence in
+coefficient space, where multiplying by x^lam is an index shift.
 """
 
 import math
@@ -21,11 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, RankDeficiencyError, UsageError, check_lambda
-from .fracpoly import (
-    FractionalPolynomial,
-    frac_poly_linear_combine,
-    frac_poly_shift_mul,
-)
+from .fracpoly import FractionalPolynomial
 from . import quadrature as quad
 
 __all__ = ["WeightSpec", "OrthogonalBasis", "build_continuous", "build_discrete",
@@ -74,9 +72,11 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class OrthogonalBasis:
-    """Monic W-orthogonal ladder L_0..L_n with its recurrence constants.
+    """Monic W-orthogonal ladder L_0..L_n, held as its recurrence constants.
 
-    ``B[i-1]`` holds B_i (i = 1..n) and ``C[i-2]`` holds C_i (i = 2..n).
+    ``B[i-1]`` holds B_i (i = 1..n), ``C[i-2]`` holds C_i (i = 2..n) and
+    ``sq_norms[i]`` holds <L_i, L_i>_W.  Together with ``lam`` they determine
+    the basis: ``ladder_values`` and ``polys`` are derived from them.
     ``points``/``ip_weights`` carry the discretized inner product the basis
     was built against (quadrature nodes or data points, weight folded in),
     so callers can project onto the basis without re-deriving anything.
@@ -85,7 +85,6 @@ class OrthogonalBasis:
     """
 
     lam: float
-    polys: tuple
     B: tuple
     C: tuple
     sq_norms: tuple
@@ -97,7 +96,21 @@ class OrthogonalBasis:
 
     @property
     def degree_index(self):
-        return len(self.polys) - 1
+        return len(self.sq_norms) - 1
+
+    @property
+    def polys(self):
+        """Ladder coefficients P_i of L_i: shift(P_{i-1}) - B_i P_{i-1} - C_i P_{i-2}."""
+        n = self.degree_index
+        P = np.zeros((n + 1, n + 1))
+        P[0, 0] = 1.0
+        for i in range(1, n + 1):
+            P[i, 1:i + 1] = P[i - 1, :i]
+            P[i, :i] -= self.B[i - 1] * P[i - 1, :i]
+            if i >= 2:
+                P[i, :i - 1] -= self.C[i - 2] * P[i - 2, :i - 1]
+        return tuple(FractionalPolynomial(self.lam, tuple(P[i, :i + 1]))
+                     for i in range(n + 1))
 
     def ladder_values(self, x):
         """Rung table of L_0..L_n at x (row i holds L_i at every point), filled
@@ -107,10 +120,8 @@ class OrthogonalBasis:
         t = x**self.lam
         rows = np.empty((self.degree_index + 1,) + x.shape)
         rows[0] = 1.0
-        if self.degree_index >= 1:
-            rows[1] = t - self.B[0]
-        for i in range(2, self.degree_index + 1):
-            rows[i] = (t - self.B[i - 1]) * rows[i - 1] - self.C[i - 2] * rows[i - 2]
+        for i in range(1, self.degree_index + 1):
+            _rung(rows, t, self.B, self.C, i)
         return rows
 
     def inner(self, f, g=None):
@@ -159,40 +170,34 @@ def default_rule(weight, lam, quad_points=DEFAULT_QUAD_POINTS):
     return quad.ladder_rule(quad_points, (lam,), lo, hi, fallback_step=lam)
 
 
+def _rung(rows, t, B, C, i):
+    """Fill row i >= 1 of a rung table at t = x^lam from rows i-1 and i-2."""
+    if i == 1:
+        rows[1] = t - B[0]
+    else:
+        rows[i] = (t - B[i - 1]) * rows[i - 1] - C[i - 2] * rows[i - 2]
+
+
 def _recurrence(points, w, lam, n, mode, lo, hi):
     t = points**lam
-    polys = [FractionalPolynomial(lam, (1.0,))]
-    vals = [np.ones_like(points)]
+    rows = np.empty((n + 1,) + points.shape)
+    rows[0] = 1.0
     sq = [float(np.sum(w))]
-    if sq[0] <= DEGENERACY_THRESHOLD:
-        raise DegeneracyError(f"degenerate norm at index 0: {sq[0]:.3e}", index=0)
     Bs, Cs = [], []
-    for i in range(1, n + 1):
-        v1 = vals[i - 1]
-        Bi = float(np.sum(w * t * v1 * v1)) / sq[i - 1]
-        Bs.append(Bi)
-        shifted = frac_poly_shift_mul(polys[i - 1])
-        if i == 1:
-            poly = frac_poly_linear_combine([shifted, polys[0]], [1.0, -Bi])
-            vnew = (t - Bi) * v1
-        else:
-            v2 = vals[i - 2]
-            Ci = float(np.sum(w * t * v1 * v2)) / sq[i - 2]
-            Cs.append(Ci)
-            poly = frac_poly_linear_combine(
-                [shifted, polys[i - 1], polys[i - 2]], [1.0, -Bi, -Ci]
-            )
-            vnew = (t - Bi) * v1 - Ci * v2
-        polys.append(poly)
-        vals.append(vnew)
-        sq.append(float(np.sum(w * vnew * vnew)))
+    for i in range(n + 1):
+        if i >= 1:
+            Bs.append(float(np.sum(w * t * rows[i - 1] * rows[i - 1])) / sq[i - 1])
+            if i >= 2:
+                Cs.append(float(np.sum(w * t * rows[i - 1] * rows[i - 2])) / sq[i - 2])
+            _rung(rows, t, Bs, Cs, i)
+            sq.append(float(np.sum(w * rows[i] * rows[i])))
         if sq[i] <= DEGENERACY_THRESHOLD:
             raise DegeneracyError(
                 f"degenerate norm at index {i}: {sq[i]:.3e}", index=i
             )
     return OrthogonalBasis(
-        lam=lam, polys=tuple(polys), B=tuple(Bs), C=tuple(Cs),
-        sq_norms=tuple(sq), mode=mode, points=points, ip_weights=w, lo=lo, hi=hi,
+        lam=lam, B=tuple(Bs), C=tuple(Cs), sq_norms=tuple(sq), mode=mode,
+        points=points, ip_weights=w, lo=lo, hi=hi,
     )
 
 

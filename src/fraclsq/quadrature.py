@@ -41,6 +41,9 @@ __all__ = [
 
 MAX_POINTS = 256
 
+#: largest denominator common_step matches an exponent with
+MAX_STEP_DENOMINATOR = 1000
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -186,12 +189,12 @@ def weighted_rule(m, lam, beta_left=0.0, beta_right=0.0):
     return QuadratureRule(x, w, 0.0, 1.0)
 
 
-def common_step(exponents, max_den=1000):
+def common_step(exponents):
     """Largest step s such that every exponent is an integer multiple of s.
 
-    Exponents are matched to rationals with denominator <= max_den; returns
-    None when some exponent is not (numerically) commensurable.  Used to pick
-    a substitution that makes mixed-exponent integrands exactly polynomial.
+    Exponents are matched to rationals with denominator <= MAX_STEP_DENOMINATOR;
+    returns None when some exponent is not (numerically) commensurable.  Used
+    to pick a substitution that makes mixed-exponent integrands exactly polynomial.
     """
     fracs = []
     for e in exponents:
@@ -199,7 +202,7 @@ def common_step(exponents, max_den=1000):
             return None
         if e == 0:
             continue
-        f = Fraction(e).limit_denominator(max_den)
+        f = Fraction(e).limit_denominator(MAX_STEP_DENOMINATOR)
         if f == 0 or abs(float(f) - e) > 1e-9 * max(1.0, abs(e)):
             return None
         fracs.append(f)

@@ -12,29 +12,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fraccalc import fde_abs_error, solve_fde
-from .functions import (
-    POPULATION_ORDER,
-    POPULATION_RATE,
-    lookup,
-    multi_term_problem,
-    single_term_problem,
-)
+from .functions import POPULATION_ORDER, lookup, multi_term_problem, single_term_problem
 from .lsq import DataSet, add_noise, fit_continuous_normal, fit_discrete_normal, \
     fit_projection, predict
 from .orthobasis import build_discrete
 from .pricing import GbmConfig, LsmcJob, price_american_put, simulate_paths
-from .special import mittag_leffler
 from . import quadrature as quad
 
 __all__ = ["CheckRow", "TABLE_JOBS", "run_table"]
+
+#: quadrature points of the continuous-fit table
+T1_QUAD_POINTS = 64
 
 #: uniform abscissae seed for the 20-point data set of the discrete-fit table
 #: (the reference used an unpublished uniform draw on [10, 20]; this seed's
 #: realization matches both pinned error values within 2%)
 T2_SEED = 89
 
+#: noise seed of the qualitative rows of the discrete-fit table
+T2_NOISE_SEED = 7
+
 #: path seed for the pricing table (fixed for reproducibility)
 T9_SEED = 1
+
+#: equispaced samples of the population curve on [0, 1]
+T10_POINTS = 11
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def _ge_row(label, computed, bound, note=""):
 # T1: continuous fit of x^0.75 + x^1.5 on [0, 1], n = 2
 # ---------------------------------------------------------------------------
 
-def reproduce_t1(quad_points=64):
+def reproduce_t1():
     target = lookup("x075+x15")
     rows = []
     cases = {
@@ -83,7 +85,7 @@ def reproduce_t1(quad_points=64):
         1.5: ((0.1388, 2.5269, -0.7126), 8.78e-4),
     }
     for lam, (coeffs_ref, err_ref) in cases.items():
-        rule = quad.ladder_rule(quad_points, target.exponents + (lam, 2 * lam), 0.0, 1.0,
+        rule = quad.ladder_rule(T1_QUAD_POINTS, target.exponents + (lam, 2 * lam), 0.0, 1.0,
                                 fallback_step=lam)
         fit = fit_continuous_normal(target, 0.0, 1.0, lam, 2, rule=rule)
         if lam == 0.75:
@@ -106,7 +108,7 @@ def t2_data():
     return DataSet(xs, xs**1.5)
 
 
-def reproduce_t2(qualitative=False, noise_seed=7):
+def reproduce_t2(qualitative=False):
     data = t2_data()
     rows = []
     fit = fit_discrete_normal(data, 1.5, 1)
@@ -119,12 +121,12 @@ def reproduce_t2(qualitative=False, noise_seed=7):
                          8.17, 0.10, note="uniform abscissae, seed %d" % T2_SEED))
     if qualitative:
         for pct, ref in ((5.0, 2.20e-2), (10.0, 8.80e-2)):
-            noisy = add_noise(data, pct, noise_seed)
+            noisy = add_noise(data, pct, T2_NOISE_SEED)
             err = fit_discrete_normal(noisy, 1.5, 1).error
             rows.append(CheckRow(
                 f"T2 lam=1.5 {pct:g}% noise E^D", err,
                 f"reference={ref:g} (qualitative; multiplicative noise model, "
-                f"seed {noise_seed})", True,
+                f"seed {T2_NOISE_SEED})", True,
                 note="informational only: reference noise model unpublished"))
     return rows
 
@@ -233,17 +235,16 @@ def reproduce_t9(seed=T9_SEED, paths=10000):
 # T10: fit of the population-model curve, lambda sweep, both fit paths
 # ---------------------------------------------------------------------------
 
-def population_data(points=11):
-    xs = np.linspace(0.0, 1.0, points)
-    ys = np.array([mittag_leffler(POPULATION_ORDER, POPULATION_RATE * x**POPULATION_ORDER)
-                   for x in xs])
-    return DataSet(xs, ys)
+def population_data():
+    curve = lookup("ml-population")
+    xs = np.linspace(0.0, 1.0, T10_POINTS)
+    return DataSet(xs, np.array([curve(x) for x in xs]))
 
 
 def reproduce_t10():
     data = population_data()
     x_eval = 0.55
-    y_true = mittag_leffler(POPULATION_ORDER, POPULATION_RATE * x_eval**POPULATION_ORDER)
+    y_true = lookup("ml-population")(x_eval)
     rows = []
     for n in range(2, 7):
         ae = {}

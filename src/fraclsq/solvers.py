@@ -116,11 +116,7 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
             best_x, best_rnorm = x, rnorm
         if not r.any():
             break
-        try:
-            dx = d * solve_scaled(r * d)
-        except (np.linalg.LinAlgError, ConditioningError):
-            break
-        x_next = x + dx
+        x_next = x + d * solve_scaled(r * d)
         if not np.all(np.isfinite(x_next)) or np.array_equal(x_next, x):
             break
         x = x_next

@@ -399,6 +399,22 @@ _PRICE = ["price", "--s0", "38", "--rate", "0.05", "--sigma", "0.71", "--strike"
           "--horizon", "0.5", "--steps", "4", "--paths", "100", "--lambda", "0.75"]
 
 
+@pytest.mark.parametrize("basis", ["monomial", "muntz_legendre"])
+def test_solve_fde_curve_out(basis, capsys, tmp_path):
+    from fraclsq import FitResult, predict
+    curve = tmp_path / "curve.csv"
+    code, out, _ = run_cli(_FDE + ["--basis", basis, "--curve-out", str(curve)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    fit = FitResult(basis, 0.5, np.array(doc["coeffs"]), doc["error"], doc["cond"])
+    lines = curve.read_text().splitlines()
+    assert lines[0] == "x,y_fit"
+    assert len(lines) == 202
+    xs = np.linspace(0.0, 1.0, 201)
+    assert lines[1:] == [f"{x!r},{y!r}" for x, y in
+                         zip(xs.tolist(), predict(fit, xs).tolist())]
+
+
 def _with(base, flag, value):
     args = list(base)
     if flag in args:

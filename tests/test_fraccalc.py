@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fraclsq import (
+    DegeneracyError,
     DomainError,
     FdeProblem,
     FracFunction,
@@ -219,6 +220,17 @@ def test_solver_guards():
         solve_fde(FdeProblem(terms=((0.5, 1.0),)), 0.5, 2)
     with pytest.raises(DomainError):
         FdeProblem(terms=((1.5, 1.0),))
+
+
+@pytest.mark.parametrize("basis_kind", ["monomial", "muntz_legendre"])
+@pytest.mark.parametrize("rhs", [FracFunction.from_terms([(1.0, 0.5)]), lambda x: x**0.5],
+                         ids=["exact", "quadrature"])
+def test_vanishing_constant_image_is_degenerate(basis_kind, rhs):
+    # with reaction -1 the constant rung's image D^a 1 - 1 plus its initial
+    # value 1 vanishes, so the residual normal matrix has a zero diagonal
+    prob = FdeProblem(terms=((0.5, 1.0),), reaction=-1.0, rhs=rhs)
+    with pytest.raises(DegeneracyError, match="residual normal equations are singular"):
+        solve_fde(prob, 0.5, 3, basis_kind=basis_kind)
 
 
 def test_fracfunction_construction():

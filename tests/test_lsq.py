@@ -21,10 +21,11 @@ from fraclsq import (
     frac_poly_eval,
     muntz_legendre_eval,
     predict,
+    solve_fde,
     substituted_rule,
 )
 from fraclsq import lsq
-from fraclsq.functions import lookup
+from fraclsq.functions import lookup, multi_term_problem
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,18 @@ def test_projection_of_basis_member_is_unit_vector():
         [frac_poly_eval(target, t) for t in np.atleast_1d(x)]), basis)
     monomial = expand_to_monomial(fit)
     assert monomial.coeffs == pytest.approx(target.coeffs, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.75, 1.39])
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_expand_muntz_legendre_fit_matches_predict(lam, n):
+    prob, _ = multi_term_problem()
+    fit = solve_fde(prob, lam, n, basis_kind="muntz_legendre")
+    poly = expand_to_monomial(fit)
+    assert (poly.lam, poly.degree_index) == (lam, n)
+    xs = np.linspace(0.0, 1.0, 41)
+    want = predict(fit, xs)
+    np.testing.assert_allclose(poly(xs), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_projection_equals_normal_equations_on_data():

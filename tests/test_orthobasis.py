@@ -241,6 +241,63 @@ def test_ladder_values_is_a_rung_table():
     assert np.array_equal(basis.ladder_values(xs.reshape(3, 3)), table.reshape(5, 3, 3))
 
 
+# recurrence constants, squared norms and ladder coefficients (hex of
+# float64) of a unit, a Jacobi and a weighted discrete basis at n = 3
+_PINNED_BASES = {
+    "unit": (
+        ["0x1.249249249249bp-1", "0x1.02d02d02d02d1p-1", "0x1.010953f390106p-1"],
+        ["0x1.2cee3c9aa519dp-4", "0x1.0b359fa8bf7b4p-4"],
+        ["0x1.fffffffffffffp-1", "0x1.2cee3c9aa51a2p-4", "0x1.3a1b82362b486p-8",
+         "0x1.405b3be3b2721p-12"],
+        [["0x1.0000000000000p+0"],
+         ["-0x1.249249249249bp-1", "0x1.0000000000000p+0"],
+         ["0x1.b91b91b91b922p-3", "-0x1.13b13b13b13b6p+0", "0x1.0000000000000p+0"],
+         ["-0x1.2233d26592215p-4", "0x1.61af286bca1acp-1", "-0x1.9435e50d79439p+0",
+          "0x1.0000000000000p+0"]],
+    ),
+    "jacobi": (
+        ["0x1.921fb54442c1cp-1", "0x1.0e8d81545fbefp-1", "0x1.060a7c441031fp-1"],
+        ["0x1.98188b970f7a6p-5", "0x1.dccce5caf51a4p-5"],
+        ["0x1.0000000000024p+1", "0x1.98188b970f7e4p-4", "0x1.7c0a22b6ce126p-8",
+         "0x1.6f3c17645b71cp-12"],
+        [["0x1.0000000000000p+0"],
+         ["-0x1.921fb54442c1cp-1", "0x1.0000000000000p+0"],
+         ["0x1.75f8a65876366p-2", "-0x1.50569b4c51406p+0", "0x1.0000000000000p+0"],
+         ["-0x1.212d319455819p-3", "0x1.f575ee65176dep-1", "-0x1.d35bd96e59596p+0",
+          "0x1.0000000000000p+0"]],
+    ),
+    "discrete": (
+        ["0x1.791b9eb3a7208p+0", "0x1.5dd68ab092b71p+0", "0x1.5664748b78514p+0"],
+        ["0x1.7694266759c98p-1", "0x1.131947bf64f5bp-1"],
+        ["0x1.bffffffffffffp+3", "0x1.47c1a19a6e905p+3", "0x1.60355e5d6b656p+2",
+         "0x1.3d6107ec56952p+1"],
+        [["0x1.0000000000000p+0"],
+         ["-0x1.791b9eb3a7208p+0", "0x1.0000000000000p+0"],
+         ["0x1.480c9d8ae6c9ap+0", "-0x1.6b7914b21cebcp+1", "0x1.0000000000000p+0"],
+         ["-0x1.d845409d0090dp-1", "0x1.22b12fa042a86p+2", "-0x1.0b55a77bec8a3p+2",
+          "0x1.0000000000000p+0"]],
+    ),
+}
+
+
+def _pinned_basis(case):
+    if case == "unit":
+        return build_continuous(WeightSpec.unit(), 0.75, 3)
+    if case == "jacobi":
+        return build_continuous(WeightSpec.jacobi(0.0, -0.5), 0.5, 3)
+    return build_discrete(np.linspace(1.0, 3.0, 7), np.linspace(0.1, 2.0, 7), 1.39, 3)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_BASES))
+def test_basis_is_pinned_bit_for_bit(case):
+    B, C, sq_norms, polys = _PINNED_BASES[case]
+    basis = _pinned_basis(case)
+    assert [v.hex() for v in basis.B] == B
+    assert [v.hex() for v in basis.C] == C
+    assert [v.hex() for v in basis.sq_norms] == sq_norms
+    assert [[c.hex() for c in p.coeffs] for p in basis.polys] == polys
+
+
 @pytest.mark.parametrize("field", ["lo", "hi", "beta_left", "beta_right"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_weight_spec_rejects_nonfinite_fields(field, bad):

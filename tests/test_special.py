@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from fraclsq import ConvergenceError, DomainError, gamma, mittag_leffler
+from fraclsq.functions import lookup
+from fraclsq.reproduce import population_data
 
 
 def test_gamma_integers():
@@ -33,6 +36,27 @@ def test_gamma_recurrence_property():
 def test_gamma_domain(bad):
     with pytest.raises(DomainError):
         gamma(bad)
+
+
+# E_1.39(1.3502e-2 x^1.39) at the population table's points, linspace(0, 1, 11)
+# and the evaluation point 0.55 (hex of float64)
+_POPULATION_PINNED = [
+    "0x1.0000000000000p+0", "0x1.001d36b1ecaa3p+0", "0x1.004c94c5587e9p+0",
+    "0x1.00869750d4e22p+0", "0x1.00c8d442d6082p+0", "0x1.0111f698aa945p+0",
+    "0x1.01611fea8e829p+0", "0x1.01b5b169a2e86p+0", "0x1.020f32f45af90p+0",
+    "0x1.026d45f1e5ff7p+0", "0x1.02cf9da7a0d68p+0",
+]
+_POPULATION_AT_055 = "0x1.0138d56cfb466p+0"
+
+
+def test_population_curve_is_pinned_at_table_points():
+    curve = lookup("ml-population")
+    xs = np.linspace(0.0, 1.0, 11)
+    assert [float(curve(x)).hex() for x in xs] == _POPULATION_PINNED
+    assert float(curve(0.55)).hex() == _POPULATION_AT_055
+    data = population_data()
+    assert data.xs.tolist() == xs.tolist()
+    assert [v.hex() for v in data.ys.tolist()] == _POPULATION_PINNED
 
 
 def test_mittag_leffler_reduces_to_exp():
