@@ -3,7 +3,7 @@
 The space span{1, x^lam, ..., x^(n*lam)} with a tunable exponent step lam
 generalizes polynomial fitting; this package provides:
 
-* Muntz-Legendre polynomials and classical Jacobi polynomials;
+* Muntz-Legendre polynomials;
 * Gaussian quadrature adapted to fractional integrands;
 * weight-orthogonal fractional bases via three-term recurrences;
 * continuous/discrete least-squares fits (normal equations or projection);
@@ -26,11 +26,7 @@ from .errors import (
 from .special import gamma, mittag_leffler
 from .fracpoly import (
     FractionalPolynomial,
-    JacobiParams,
     frac_poly_eval,
-    frac_poly_linear_combine,
-    frac_poly_shift_mul,
-    jacobi_eval,
     muntz_legendre_coeffs,
     muntz_legendre_eval,
 )
@@ -77,9 +73,8 @@ __all__ = [
     "ConditioningError", "ConvergenceError", "DegeneracyError", "DomainError",
     "FraclsqError", "RankDeficiencyError", "UsageError",
     "gamma", "mittag_leffler",
-    "FractionalPolynomial", "JacobiParams", "frac_poly_eval",
-    "frac_poly_linear_combine", "frac_poly_shift_mul", "jacobi_eval",
-    "muntz_legendre_coeffs", "muntz_legendre_eval",
+    "FractionalPolynomial", "frac_poly_eval", "muntz_legendre_coeffs",
+    "muntz_legendre_eval",
     "QuadratureRule", "common_step", "frac_moment", "gauss_jacobi",
     "gauss_legendre", "integrate", "substituted_rule", "weighted_rule",
     "OrthogonalBasis", "WeightSpec", "build_continuous", "build_discrete",

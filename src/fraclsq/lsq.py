@@ -24,12 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConditioningError, DomainError, UsageError, check_lambda
-from .fracpoly import (
-    FractionalPolynomial,
-    frac_poly_linear_combine,
-    muntz_legendre_coeffs,
-    muntz_legendre_rungs,
-)
+from .fracpoly import FractionalPolynomial, muntz_legendre_coeffs, muntz_legendre_rungs
 from .orthobasis import OrthogonalBasis
 from .solvers import solve_normal_equations
 from . import quadrature as quad
@@ -248,7 +243,10 @@ def expand_to_monomial(fit):
         polys = [muntz_legendre_coeffs(i, fit.lam) for i in range(len(fit.coeffs))]
     else:
         raise UsageError(f"unknown basis descriptor {fit.basis!r}")
-    return frac_poly_linear_combine(polys, list(fit.coeffs))
+    out = np.zeros(len(polys[-1].coeffs))
+    for a, p in zip(fit.coeffs, polys):
+        out[:len(p.coeffs)] += a * np.array(p.coeffs)
+    return FractionalPolynomial(fit.lam, tuple(out))
 
 
 def _integer(name, value):

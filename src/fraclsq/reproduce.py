@@ -236,9 +236,8 @@ def reproduce_t9(seed=T9_SEED, paths=10000):
 # ---------------------------------------------------------------------------
 
 def population_data():
-    curve = lookup("ml-population")
     xs = np.linspace(0.0, 1.0, T10_POINTS)
-    return DataSet(xs, np.array([curve(x) for x in xs]))
+    return DataSet(xs, quad.sample(lookup("ml-population"), xs))
 
 
 def reproduce_t10():

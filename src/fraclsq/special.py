@@ -41,13 +41,19 @@ def mittag_leffler(alpha, z):
 
         t_{k+1} = t_k * z * Gamma(alpha*k + 1) / Gamma(alpha*(k+1) + 1)
 
-    with the Gamma ratio evaluated in log space, so no intermediate
-    overflows for the supported range |z| <= 50.  Summation stops once a
-    term drops below 1e-16 of the partial sum; if 500 terms are not
-    enough the series is declared non-convergent.  On the negative axis
-    the alternating terms can dwarf the sum: when eps * max|term| exceeds
-    1e-8 * |sum| the cancellation has eaten the answer and the call raises
-    ConvergenceError instead (this never happens for z >= 0).
+    with the Gamma ratio evaluated in log space, so no Gamma value
+    overflows.  Summation stops once a term drops below 1e-16 of the
+    partial sum; if 500 terms are not enough the series is declared
+    non-convergent.  On the negative axis the alternating terms can dwarf
+    the sum: when eps * max|term| exceeds 1e-8 * |sum| the cancellation has
+    eaten the answer and the call raises ConvergenceError instead (this
+    never happens for z >= 0).
+
+    Values come back for z down to about -4.2 (alpha = 0.5), -8.25 (0.75),
+    -9.8 (1), -29.5 (1.25), -42 (1.39) and -50 (alpha >= 1.5), and up to
+    z = 50 for alpha >= 0.75 but only about 12 (alpha = 0.5), 3.6 (0.3) and
+    2 (0.2), where 500 terms run out.  There they agree with exp(z),
+    erfcx(-z) and cos(sqrt(-z)) (alpha = 1, 0.5, 2) within 2e-8 relative.
     """
     if not (alpha > 0) or not math.isfinite(alpha):
         raise DomainError(f"mittag_leffler: alpha must be positive, got {alpha}")

@@ -6,13 +6,8 @@ import pytest
 from fraclsq import (
     DomainError,
     FractionalPolynomial,
-    JacobiParams,
-    UsageError,
     frac_poly_eval,
-    frac_poly_linear_combine,
-    frac_poly_shift_mul,
     integrate,
-    jacobi_eval,
     muntz_legendre_coeffs,
     muntz_legendre_eval,
     substituted_rule,
@@ -52,112 +47,6 @@ def test_lambda_range_enforced():
         FractionalPolynomial(2.5, (1.0,))
     with pytest.raises(DomainError):
         FractionalPolynomial(1.0, ())
-
-
-def test_shift_mul_is_index_shift():
-    assert frac_poly_shift_mul(FractionalPolynomial(0.7, (1.0,))).coeffs == (0.0, 1.0)
-    assert frac_poly_shift_mul(FractionalPolynomial(0.5, (2.0, 3.0))).coeffs == (0.0, 2.0, 3.0)
-
-
-def test_shift_mul_matches_pointwise_multiplication():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        lam = rng.uniform(0.1, 2.0)
-        p = FractionalPolynomial(lam, tuple(rng.standard_normal(4)))
-        x = rng.uniform(0.01, 1.0)
-        assert frac_poly_eval(frac_poly_shift_mul(p), x) == pytest.approx(
-            x**lam * frac_poly_eval(p, x), rel=1e-12)
-
-
-def test_linear_combine_examples():
-    one = FractionalPolynomial(0.5, (1.0,))
-    xl = FractionalPolynomial(0.5, (0.0, 1.0))
-    q = frac_poly_linear_combine([one, xl], [-math.pi / 4, 1.0])
-    assert q.coeffs == (-math.pi / 4, 1.0)
-    z = frac_poly_linear_combine([one, xl], [0.0, 0.0])
-    assert z.coeffs == (0.0, 0.0)
-
-
-def test_linear_combine_matches_pointwise_sum():
-    rng = np.random.default_rng(4)
-    ps = [FractionalPolynomial(0.8, tuple(rng.standard_normal(k + 1))) for k in range(3)]
-    ws = list(rng.standard_normal(3))
-    q = frac_poly_linear_combine(ps, ws)
-    for x in rng.uniform(0, 1, 10):
-        want = sum(w * frac_poly_eval(p, x) for p, w in zip(ps, ws))
-        assert frac_poly_eval(q, x) == pytest.approx(want, abs=1e-12)
-
-
-def test_linear_combine_rejects_mixed_lambda():
-    with pytest.raises(UsageError):
-        frac_poly_linear_combine(
-            [FractionalPolynomial(0.5, (1.0,)), FractionalPolynomial(0.6, (1.0,))],
-            [1.0, 1.0])
-
-
-# ---------------------------------------------------------------------------
-# Jacobi polynomials
-# ---------------------------------------------------------------------------
-
-def _jacobi_direct(params, n, x):
-    # brute-force summation of the hypergeometric representation: oracle for
-    # the recurrence, valid for small n
-    a, b = params.a, params.b
-
-    def rising(c, k):
-        out = 1.0
-        for j in range(k):
-            out *= c + j
-        return out
-
-    total = 0.0
-    for i in range(n + 1):
-        term = (
-            (-1.0) ** (n - i)
-            * rising(1 + b, n)
-            * rising(1 + a + b, i + n)
-            / (
-                math.factorial(i)
-                * math.factorial(n - i)
-                * rising(1 + b, i)
-                * rising(1 + a + b, n)
-            )
-            * ((1 + x) / 2) ** i
-        )
-        total += term
-    return total
-
-
-def test_jacobi_degree_zero_and_one():
-    params = JacobiParams(0.3, 0.7)
-    assert jacobi_eval(params, 0, 0.2) == 1.0
-    assert jacobi_eval(JacobiParams(0.0, 1.0), 1, 0.0) == pytest.approx(-0.5)
-
-
-def test_jacobi_value_at_one_with_zero_a():
-    for b in (0.0, 0.25, 1.0, 3.0):
-        for n in range(7):
-            assert jacobi_eval(JacobiParams(0.0, b), n, 1.0) == pytest.approx(
-                1.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, 0.25), (0.5, 0.5), (1.3, -0.4)])
-def test_jacobi_recurrence_vs_direct_sum(a, b):
-    params = JacobiParams(a, b)
-    for n in range(7):
-        for x in np.linspace(-1, 1, 9):
-            want = _jacobi_direct(params, n, x)
-            got = jacobi_eval(params, n, float(x))
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-
-
-def test_jacobi_domain_errors():
-    with pytest.raises(DomainError):
-        jacobi_eval(JacobiParams(0.0, 0.0), -1, 0.0)
-    with pytest.raises(DomainError):
-        jacobi_eval(JacobiParams(0.0, 0.0), 2, 1.5)
-    with pytest.raises(DomainError):
-        JacobiParams(-1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +131,8 @@ def test_muntz_orthogonality(lam):
 # ---------------------------------------------------------------------------
 
 def _jacobi_scalar(a, b, n, x):
-    # the recurrence in plain Python floats, constants in the library's order
+    # the general Jacobi recurrence in plain Python floats; at a = 0 it must
+    # give the library's Muntz-Legendre rows bit for bit
     p_prev, p_cur = 1.0, 0.5 * ((a - b) + (a + b + 2) * x)
     if n == 0:
         return p_prev
@@ -255,23 +145,22 @@ def _jacobi_scalar(a, b, n, x):
     return p_cur
 
 
-def test_jacobi_scalar_values_are_the_plain_recurrence_bits():
-    for a, b in ((0.0, 1.0), (0.0, 1.0 / 0.75 - 1.0), (1.3, -0.4)):
-        for n in range(12):
-            for x in np.linspace(-1, 1, 13):
-                got = jacobi_eval(JacobiParams(a, b), n, float(x))
-                assert type(got) is float
-                assert got == _jacobi_scalar(a, b, n, float(x))
+def test_muntz_rungs_are_the_plain_recurrence_bits():
+    # L_k(x; lam) = P_k^(0, 1/lam - 1)(2 x^lam - 1), row for row and bit for
+    # bit; x = 0.5^(1/lam) puts t at (or an ulp from) 0, and x > 1 extrapolates
+    n = 22
+    for lam in (0.3, 0.75, 1.0, 1.39, 2.0):
+        xs = np.append(np.linspace(0.0, 1.5, 16), 0.5 ** (1.0 / lam))
+        ts = 2.0 * xs**lam - 1.0
+        table = muntz_legendre_rungs(n, lam, xs)
+        for k in range(n + 1):
+            assert table[k].tolist() == [
+                _jacobi_scalar(0.0, 1.0 / lam - 1.0, k, float(t)) for t in ts]
 
 
 def test_array_evaluation_matches_scalar_calls():
-    ts = np.linspace(-1.0, 1.0, 37)
     xs = np.linspace(0.0, 1.0, 37)
-    params = JacobiParams(0.4, -0.3)
     for n in range(12):
-        np.testing.assert_allclose(
-            jacobi_eval(params, n, ts), [jacobi_eval(params, n, float(t)) for t in ts],
-            rtol=1e-14, atol=0)
         for lam in (0.3, 0.75, 1.39):
             np.testing.assert_allclose(
                 muntz_legendre_eval(n, lam, xs),
@@ -284,8 +173,6 @@ def test_array_evaluation_matches_scalar_calls():
 
 
 def test_array_evaluators_keep_their_domains():
-    with pytest.raises(DomainError):
-        jacobi_eval(JacobiParams(0.0, 0.0), 2, np.array([0.0, 1.5]))
     with pytest.raises(DomainError):
         muntz_legendre_eval(2, 0.5, np.array([0.5, 1.2]))
     with pytest.raises(DomainError):

@@ -312,3 +312,38 @@ def test_bases_carry_their_interval():
     assert (cont.lo, cont.hi) == (0.5, 2.0)
     disc = build_discrete(None, [0.25, 3.0, 1.0], 1.0, 1)
     assert (disc.lo, disc.hi) == (0.25, 3.0)
+
+
+def _shifted_jacobi_constants(beta, lam, n):
+    """Monic recurrence constants (B, C) and squared norms of the shifted
+    Jacobi (0, beta) polynomials on [0, 1], weight t^beta.
+
+    Gautschi, Orthogonal Polynomials (2004), Section 1.5: the constants
+    alpha_k, beta_k on [-1, 1] move to [0, 1] through t = (1 + s)/2 as
+    (1 + alpha_k)/2 and beta_k/4.  The norms carry the 1/lam of t = x^lam.
+    """
+    alpha = [beta / (beta + 2)] + [beta**2 / ((2 * k + beta) * (2 * k + beta + 2))
+                                   for k in range(1, n)]
+    B = [(1 + a) / 2 for a in alpha]
+    C = [k**2 * (k + beta) ** 2 / ((2 * k + beta) ** 2 * (2 * k + beta + 1) * (2 * k + beta - 1))
+         for k in range(1, n + 1)]
+    sq = [1 / ((beta + 1) * lam)]
+    for c in C:
+        sq.append(sq[-1] * c)
+    return B, C[:-1], sq
+
+
+@pytest.mark.parametrize("b", [None, -0.5, 0.5])
+@pytest.mark.parametrize("lam", [0.25, 0.3, 0.5, 0.75, 1.0, 1.1, 1.39, 2.0])
+def test_stieltjes_constants_match_the_closed_form(lam, b):
+    # with t = x^lam, the weight x^b on [0, 1] becomes (1/lam) t^((b+1)/lam - 1),
+    # so the Stieltjes constants are the shifted Jacobi ones; b = None is the
+    # unit weight, built on its own quadrature route
+    n = 10
+    weight = WeightSpec.unit() if b is None else WeightSpec.jacobi(b, 0.0)
+    basis = build_continuous(weight, lam, n)
+    beta = ((0.0 if b is None else b) + 1) / lam - 1
+    B, C, sq = _shifted_jacobi_constants(beta, lam, n)
+    np.testing.assert_allclose(basis.B, B, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(basis.C, C, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(basis.sq_norms, sq, rtol=1e-10, atol=0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from fraclsq import ConvergenceError, DomainError, gamma, mittag_leffler
 from fraclsq.functions import lookup
@@ -100,6 +101,16 @@ def test_mittag_leffler_refuses_cancelled_sums(alpha, z):
     # 2.1e-9): summing them returns noise
     with pytest.raises(ConvergenceError, match="cancellation"):
         mittag_leffler(alpha, z)
+
+
+def test_mittag_leffler_meets_its_documented_range():
+    # one point on each side of the documented negative-axis limits
+    assert mittag_leffler(1.0, -9.5) == pytest.approx(math.exp(-9.5), rel=1e-7)
+    with pytest.raises(ConvergenceError):
+        mittag_leffler(1.0, -10.0)
+    assert mittag_leffler(0.5, -4.0) == pytest.approx(erfcx(4.0), rel=1e-7)
+    with pytest.raises(ConvergenceError):
+        mittag_leffler(0.5, -4.5)
 
 
 @pytest.mark.parametrize("alpha,z", [(0.5, -1.0), (0.5, -3.0), (0.8, -6.0), (1.0, -8.0),
