@@ -1,3 +1,4 @@
 import sys
 from .cli import main
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

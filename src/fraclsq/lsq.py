@@ -15,6 +15,8 @@ system (1 for the projection route).
 
 It is also the float least-squares core of every sampled route (``solve_fde``'s
 quadrature path and LSMC too): :func:`_normal_solve` solves, :func:`_sse` scores.
+:func:`_discrete_fit` is the discrete route on plain arrays, which LSMC calls
+once per exercise date with no DataSet or FitResult around it.
 """
 
 import operator
@@ -167,12 +169,6 @@ def fit_discrete_normal(data, lam, n):
     sums.  Raises ConditioningError on rank deficiency (fewer points than
     coefficients) or a numerically singular system.
     """
-    return _fit_discrete_values(data, lam, n)[0]
-
-
-def _fit_discrete_values(data, lam, n):
-    """:func:`fit_discrete_normal` and its fitted values at ``data.xs``, equal
-    bit for bit to ``predict(fit, data.xs)``, from the one power table."""
     check_lambda(lam)
     if n < 0:
         raise DomainError(f"degree index must be >= 0, got {n}")
@@ -182,14 +178,17 @@ def _fit_discrete_values(data, lam, n):
             cond=float("inf"),
         )
     w = data.weight_array()
-    # direct powers x^(k lam), k = 0..2n: moments are the power sums
-    P = _monomial_values(lam, 2 * n, data.xs)
-    coeffs, cond, fitted = _normal_solve(_hankel(np.einsum("k,km->m", w, P)),
-                                         P[:, :n + 1], data.ys, w)
-    del P  # the largest array: freed before the residual's temporaries
-    lo, hi = float(np.min(data.xs)), float(np.max(data.xs))
-    fit = FitResult("monomial", lam, coeffs, _sse(data.ys, fitted, w), cond, lo, hi)
-    return fit, fitted
+    coeffs, cond, fitted = _discrete_fit(data.xs, data.ys, w, lam, n)
+    return FitResult("monomial", lam, coeffs, _sse(data.ys, fitted, w), cond,
+                     float(np.min(data.xs)), float(np.max(data.xs)))
+
+
+def _discrete_fit(xs, ys, w, lam, n):
+    """(coeffs, cond, fitted) of the discrete fit on checked arrays (xs >= 0,
+    all finite, >= n + 1 points); fitted equals ``predict`` at xs bit for bit.
+    The x^(k lam) table, k <= 2n, gives the moments and, as a view, V."""
+    P = _monomial_values(lam, 2 * n, xs)
+    return _normal_solve(_hankel(np.einsum("k,km->m", w, P)), P[:, :n + 1], ys, w)
 
 
 def fit_projection(target, basis):

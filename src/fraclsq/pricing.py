@@ -10,13 +10,14 @@ the pricer reads each exercise date as one contiguous row.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError, check_lambda
-from .lsq import DataSet, _fit_discrete_values, _integer
+from .lsq import _discrete_fit, _integer
 
 __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
            "price_american_put"]
@@ -31,7 +32,8 @@ class GbmConfig:
 
     Rates are per year, volatility per sqrt(year), horizon in years; the
     grid has ``steps`` exercise dates after time zero, and steps*paths may
-    not exceed ``PATH_STEP_BUDGET``.  ``steps``, ``paths`` and the
+    not exceed ``PATH_STEP_BUDGET``.  sigma**2 enters the drift, so sigma may
+    not exceed sqrt(float max), about 1.34e154.  ``steps``, ``paths`` and the
     non-negative ``seed`` are integers (numpy integers are accepted).
     """
 
@@ -55,6 +57,8 @@ class GbmConfig:
             raise DomainError(f"initial price must be positive, got {self.s0}")
         if self.sigma < 0:
             raise DomainError(f"volatility must be >= 0, got {self.sigma}")
+        if self.sigma > math.sqrt(sys.float_info.max):
+            raise DomainError(f"volatility squared overflows, got sigma = {self.sigma}")
         if self.horizon <= 0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.steps < 1 or self.paths < 1:
@@ -123,9 +127,12 @@ def price_american_put(job, paths=None):
     At each exercise date the continuation value is regressed on
     {1, S^lam, ..., S^(degree*lam)} over the in-the-money paths only;
     exercise happens where the immediate payoff beats the fitted
-    continuation.  Dates with too few in-the-money paths (or a degenerate
-    regressor set, e.g. sigma = 0) skip the regression and fall back to the
-    sample-mean continuation; they are reported in ``skipped_dates``.
+    continuation.  The paths are gathered once per date and fitted by
+    ``lsq._discrete_fit``, the arithmetic of ``fit_discrete_normal`` and
+    ``predict`` with no DataSet or FitResult.  Dates with too few in-the-money
+    paths (or a degenerate regressor set, e.g. sigma = 0) skip the regression
+    and fall back to the sample-mean continuation; they are reported in
+    ``skipped_dates``.
 
     ``paths`` optionally supplies the price paths, as returned by
     ``simulate_paths(job.gbm)``: a paths x (steps+1) array of finite prices
@@ -160,20 +167,21 @@ def price_american_put(job, paths=None):
         cash *= disc
         spot = dates[t]
         intrinsic = strike - spot
-        itm = intrinsic > 0
-        n_itm = int(itm.sum())
-        if n_itm < job.basis_degree + 1:
+        itm = np.flatnonzero(intrinsic > 0)
+        if len(itm) < job.basis_degree + 1:
             skipped.append(t)
             continue
+        ys = cash[itm]
+        if not np.isfinite(ys).all():
+            raise DomainError("xs and ys must be finite")
         try:
-            _, continuation = _fit_discrete_values(DataSet(spot[itm], cash[itm]),
-                                                   job.lam, job.basis_degree)
+            continuation = _discrete_fit(spot[itm], ys, np.ones(len(itm)), job.lam,
+                                         job.basis_degree)[2]
         except ConditioningError:
             # all regressors (nearly) identical: best fit is the plain mean
             skipped.append(t)
-            continuation = np.full(n_itm, cash[itm].mean())
-        exercise = intrinsic[itm] > continuation
-        idx = np.flatnonzero(itm)[exercise]
+            continuation = np.full(len(itm), ys.mean())
+        idx = itm[intrinsic[itm] > continuation]
         cash[idx] = intrinsic[idx]
     cash *= disc
 

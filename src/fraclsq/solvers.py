@@ -14,7 +14,11 @@ the solve is made stability-aware in two cheap ways:
 
 The reported condition estimate always refers to the raw, un-equilibrated
 matrix: it is the diagnostic the caller uses to compare basis choices.
+Most systems are tiny (LSMC solves a 3×3 or 4×4 one per exercise date), so
+the code around the LAPACK calls avoids numpy's Python-level wrappers.
 """
+
+import math
 
 import numpy as np
 
@@ -26,11 +30,16 @@ _MAX_REFINE = 50
 
 
 def condition_estimate(A):
-    """2-norm condition number of A (SVD-based); inf for singular input."""
+    """2-norm condition number of A from one ``svd``, with ``np.linalg.cond``'s
+    conventions: inf for singular input, and NaN only when A holds a NaN."""
+    A = np.asarray(A, dtype=float)
     try:
-        return float(np.linalg.cond(np.asarray(A, dtype=float)))
-    except np.linalg.LinAlgError:
-        return float("inf")
+        s = np.linalg.svd(A, compute_uv=False)
+        hi, lo = float(s[0]), float(s[-1])
+    except (np.linalg.LinAlgError, IndexError):
+        return math.inf
+    cond = hi / lo if lo else math.inf
+    return math.inf if cond != cond and not np.isnan(A).any() else cond
 
 
 def _dyadic(v):
@@ -67,8 +76,8 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
     cond = condition_estimate(A)
 
     # equilibrate: As = D A D with D = diag(1/sqrt(diag A))
-    diag = np.diag(A).copy()
-    if np.any(diag <= 0) or not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+    diag = A.diagonal()
+    if (diag <= 0).any() or not np.isfinite(A).all() or not np.isfinite(b).all():
         raise ConditioningError(
             f"normal matrix is not positive definite (cond~{cond:.3e})", cond=cond
         )
@@ -102,7 +111,7 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
                     cond=cond) from exc
 
     x = solve_scaled(bs) * d
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ConditioningError(
             f"normal-equation solution is non-finite (cond~{cond:.3e})", cond=cond
         )
@@ -111,13 +120,13 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
     best_x, best_rnorm = x, float("inf")
     for _ in range(_MAX_REFINE):
         r = _residual(N, D, x)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)  # np.linalg.norm's own arithmetic for 1-d r
         if rnorm < best_rnorm:
             best_x, best_rnorm = x, rnorm
         if not r.any():
             break
         x_next = x + d * solve_scaled(r * d)
-        if not np.all(np.isfinite(x_next)) or np.array_equal(x_next, x):
+        if not np.isfinite(x_next).all() or (x_next == x).all():
             break
         x = x_next
     return best_x, cond

@@ -432,6 +432,7 @@ def _with(base, flag, value):
     (_with(_PRICE, "--rate", "nan"), "r must be finite"),
     (_with(_PRICE, "--horizon", "inf"), "horizon"),
     (_with(_PRICE, "--strike", "inf"), "strike"),
+    (_with(_PRICE, "--sigma", "1e160"), "volatility squared overflows"),  # sigma**2 = inf
     (["fit", "--function", "x15", "--lambda", "0.5", "--degree", "2", "--predict", "nan"],
      "finite"),
 ])
@@ -593,15 +594,24 @@ def test_orthpoly_nonfinite_weight_is_input_error(weight, interval, capsys):
     assert "Traceback" not in err
 
 
-def test_python_m_fraclsq_runs_the_cli(tmp_path):
+def _python_m_fraclsq(args, cwd):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "fraclsq", "reproduce", "T1"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-m", "fraclsq", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_fraclsq_runs_the_cli(tmp_path):
+    proc = _python_m_fraclsq(["reproduce", "T1"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+def test_python_m_fraclsq_help(tmp_path):
+    proc = _python_m_fraclsq(["--help"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "price" in proc.stdout and proc.stderr == ""
 
 
 @pytest.mark.parametrize("args", [

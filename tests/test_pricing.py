@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from fraclsq import (
+    ConditioningError,
+    DataSet,
     DomainError,
     GbmConfig,
     LsmcJob,
+    fit_discrete_normal,
+    predict,
     price_american_put,
     simulate_paths,
 )
@@ -125,6 +129,19 @@ def test_job_validation():
 def test_gbm_config_rejects_nonfinite(field, bad):
     with pytest.raises(DomainError, match=f"{field} must be finite"):
         _cfg(**{field: bad})
+
+
+_SIGMA_EDGE = math.sqrt(1.7976931348623157e308)  # the largest sigma with finite sigma**2
+
+
+@pytest.mark.parametrize("sigma", [1e160, math.nextafter(_SIGMA_EDGE, math.inf)])
+def test_gbm_config_rejects_overflowing_sigma(sigma):
+    with pytest.raises(DomainError, match="volatility squared overflows"):
+        _cfg(sigma=sigma)
+
+
+def test_gbm_config_accepts_the_largest_finite_sigma_squared():
+    assert math.isfinite(_cfg(sigma=_SIGMA_EDGE).sigma ** 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -265,3 +282,56 @@ def test_t9_simulates_once(monkeypatch):
     rows = reproduce.run_table("T9", paths=500)
     assert len(calls) == 1
     assert len(rows) == 12
+
+
+# ---------------------------------------------------------------------------
+# the pricer's regression is the public discrete fit
+# ---------------------------------------------------------------------------
+
+def _reference_lsmc(job):
+    """Longstaff-Schwartz written with the public API: a DataSet per date,
+    fit_discrete_normal, and predict at the in-the-money spots."""
+    cfg = job.gbm
+    dates = np.ascontiguousarray(simulate_paths(cfg).T)
+    disc = np.exp(-cfg.r * (cfg.horizon / cfg.steps))
+    cash = np.maximum(job.strike - dates[-1], 0.0)
+    skipped = []
+    for t in range(cfg.steps - 1, 0, -1):
+        cash *= disc
+        intrinsic = job.strike - dates[t]
+        itm = intrinsic > 0
+        if itm.sum() < job.basis_degree + 1:
+            skipped.append(t)
+            continue
+        data = DataSet(dates[t][itm], cash[itm])
+        try:
+            fit = fit_discrete_normal(data, job.lam, job.basis_degree)
+            continuation = predict(fit, data.xs)
+        except ConditioningError:
+            skipped.append(t)
+            continuation = np.full(len(data), data.ys.mean())
+        cash[itm] = np.where(intrinsic[itm] > continuation, intrinsic[itm], data.ys)
+    cash *= disc
+    price = float(cash.mean())
+    std_error = float(cash.std(ddof=1) / np.sqrt(cfg.paths))
+    european = float(np.exp(-cfg.r * cfg.horizon)
+                     * np.maximum(job.strike - dates[-1], 0.0).mean())
+    return (price.hex(), std_error.hex(), european.hex()), tuple(reversed(skipped))
+
+
+@pytest.mark.parametrize("job", [
+    *(LsmcJob(gbm=_cfg(), strike=48.0, lam=lam, basis_degree=degree)
+      for lam in (0.08, 0.75, 2.0) for degree in (1, 2, 3)),
+    LsmcJob(gbm=_cfg(sigma=0.0, paths=64), strike=48.0, lam=1.0),
+], ids=lambda job: f"lam{job.lam}-d{job.basis_degree}-sigma{job.gbm.sigma}")
+def test_price_equals_public_discrete_fit_loop(job):
+    res = price_american_put(job)
+    assert (_hex(res), res.skipped_dates) == _reference_lsmc(job)
+
+
+def test_nonfinite_regression_target_is_domain_error():
+    # a large negative rate compounds the discounted cash past the float range
+    job = LsmcJob(gbm=_cfg(r=-700.0, paths=50), strike=1e300, lam=1.0)
+    with np.errstate(over="ignore"), pytest.raises(DomainError,
+                                                   match="xs and ys must be finite"):
+        price_american_put(job)

@@ -174,3 +174,29 @@ def test_singular_system_raises_without_semidefinite_flag():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ConditioningError):
         solve_normal_equations(A, np.array([1.0, 1.0]))
+
+
+def _numpy_cond(A):
+    try:
+        return float(np.linalg.cond(A))
+    except np.linalg.LinAlgError:
+        return float("inf")
+
+
+@pytest.mark.parametrize("A,want", [
+    (np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]), "finite"),
+    (1.0 / (np.arange(12)[:, None] + np.arange(12)[None, :] + 1.0), "finite"),  # Hilbert
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), "finite"),   # exactly singular, rounded SVD
+    (np.zeros((3, 3)), "inf"),                        # 0/0 reads inf
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "inf"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "inf"),
+    (np.array([[3.0]]), "finite"),
+    (np.array([[0.0]]), "inf"),
+], ids=["spd", "hilbert12", "singular", "zero", "nan", "inf", "1x1", "1x1-zero"])
+def test_condition_estimate_keeps_numpy_conventions(A, want):
+    got = solvers.condition_estimate(A)
+    assert type(got) is float
+    if want == "inf":
+        assert got == float("inf")
+    else:
+        assert np.isfinite(got) and got.hex() == _numpy_cond(A).hex()
