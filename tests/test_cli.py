@@ -432,9 +432,9 @@ def _with(base, flag, value):
     (_with(_PRICE, "--rate", "nan"), "r must be finite"),
     (_with(_PRICE, "--horizon", "inf"), "horizon"),
     (_with(_PRICE, "--strike", "inf"), "strike"),
-    (_with(_PRICE, "--sigma", "1e160"), "volatility squared overflows"),  # sigma**2 = inf
     (["fit", "--function", "x15", "--lambda", "0.5", "--degree", "2", "--predict", "nan"],
      "finite"),
+    (_with(_PRICE, "--sigma", "1e160"), "volatility squared overflows"),  # sigma**2 = inf
 ])
 def test_nonfinite_options_are_input_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
