@@ -21,9 +21,11 @@ coefficients.
 The exact moments are one integer matrix product over one denominator: all
 functions of one Gram matrix are written over one shared exponent set, and
 the kernel 1/(e_a + e_b + 1) becomes integer weights over the lcm of the
-distinct exponent sums (see ``_exact_gram``).  The augmented system [G | d]
-stays in that form through every refinement residual; floats come from one
-correctly rounded int/int division per entry.
+distinct exponent sums (see ``_lattice`` and ``_exact_gram``).  One
+solve builds that lattice once, from the operator images and the
+right-hand side, and scores its residual on it too.  The augmented system
+[G | d] stays in that form through every refinement residual; floats come
+from one correctly rounded int/int division per entry.
 """
 
 import math
@@ -174,18 +176,15 @@ def apply_operator(prob, p):
     return FracFunction.from_terms(parts)
 
 
-def _exact_gram(fs, gs):
-    """(N, D) with <f_i, g_j> over [0, 1] exactly N[i, j] / D: N an object
-    array of Python ints, D one int, neither reduced.
+def _lattice(hs):
+    """(col, Q, W, L): the shared exponent lattice of the functions ``hs``.
 
-    Every function is written over one sorted shared exponent set with
-    e_a = P_a / Q exactly (Q the largest power-of-two denominator), so
-    1/(e_a + e_b + 1) = Q / s_ab with s_ab = P_a + P_b + Q.  With L the lcm
-    of the distinct sums and coefficients scaled to integers over one power
-    of two per side (Sf, Sg), the whole matrix is the integer product
-    Q * (Mf W Mg^T) / (L Sf Sg) with W_ab = L // s_ab.
+    The sorted exponents are e_a = P_a / Q exactly (Q the largest
+    power-of-two denominator; ``col`` maps each exponent to its index a), so
+    1/(e_a + e_b + 1) = Q / s_ab with s_ab = P_a + P_b + Q.  L is the lcm of
+    the distinct sums and W_ab = L // s_ab, as Python ints.
     """
-    exps = sorted({e for h in (*fs, *gs) for e, _ in h.terms})
+    exps = sorted({e for h in hs for e, _ in h.terms})
     col = {e: a for a, e in enumerate(exps)}
     ratios = [e.as_integer_ratio() for e in exps]
     Q = max((q for _, q in ratios), default=1)
@@ -195,10 +194,25 @@ def _exact_gram(fs, gs):
     L = math.lcm(*distinct)
     weight = {s: L // s for s in distinct}
     W = np.array([weight[s] for s in sums.flat], dtype=object).reshape(sums.shape)
+    return col, Q, W, L
+
+
+def _exact_gram(fs, gs, lattice=None):
+    """(N, D) with <f_i, g_j> over [0, 1] exactly N[i, j] / D: N an object
+    array of Python ints, D one int, neither reduced.
+
+    Every function is written over one ``_lattice`` (built from fs and gs
+    unless a lattice covering all their exponents is passed).  With the
+    coefficients scaled to integers over one power of two per side (Sf, Sg),
+    the whole matrix is the integer product Q * (Mf W Mg^T) / (L Sf Sg).  A
+    larger lattice changes N and D but not the rational N / D, so any
+    correctly rounded division of them gives the same float.
+    """
+    col, Q, W, L = _lattice([*fs, *gs]) if lattice is None else lattice
 
     def integer_coeffs(hs):
         S = max((c.as_integer_ratio()[1] for h in hs for _, c in h.terms), default=1)
-        M = np.zeros((len(hs), len(exps)), dtype=object)
+        M = np.zeros((len(hs), len(col)), dtype=object)
         for i, h in enumerate(hs):
             for e, c in h.terms:
                 p, q = c.as_integer_ratio()
@@ -247,8 +261,11 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
     try:
         if exact_ok:
             F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
+            # one lattice serves [G | d] and the residual, whose exponents
+            # are all psi or F exponents
+            lattice = _lattice(psis + [F])
             # the augmented system [G | d] as integers over one denominator
-            N, D = _exact_gram(psis, psis + [F])
+            N, D = _exact_gram(psis, psis + [F], lattice)
             Gd = (N / D).astype(float)
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
@@ -258,7 +275,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
                 [(a * c, e) for a, psi in zip(coeffs, psis) for c, e in psi.coeff_pairs]
                 + [(-c, e) for c, e in F.coeff_pairs]
             )
-            N, D = _exact_gram([resid], [resid])
+            N, D = _exact_gram([resid], [resid], lattice)
             error = N[0, 0] / D
         else:
             if rule is None:

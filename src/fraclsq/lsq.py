@@ -196,19 +196,26 @@ def fit_projection(target, basis):
 
     a_i = <W y, L_i> / <W, L_i^2>: one ratio per coefficient, no linear
     solve, so the reported condition number is 1.  ``target`` is either a
-    callable or a DataSet sampled exactly at the basis's points.
+    callable or a DataSet sampled exactly at the basis's points; a DataSet's
+    weights, if any, must equal the basis's (the projection weighs by the
+    basis alone), else UsageError.  The rung table is the basis's
+    ``point_rungs``, evaluated once when the basis was built.
     """
+    w = basis.ip_weights
     if isinstance(target, DataSet):
         if basis.mode != "discrete":
             raise UsageError("a DataSet target needs a discrete-mode basis")
         if len(target) != len(basis.points) or np.any(target.xs != basis.points):
             raise UsageError("data abscissae must match the basis points")
+        if not (target.weights is None or target.weights is w
+                or np.array_equal(target.weights, w)):
+            raise UsageError("data weights must match the basis weights; build the "
+                             "basis with the data's weights")
         yvals = target.ys
     else:
         yvals = quad.sample(target, basis.points)
 
-    w = basis.ip_weights
-    R = basis.ladder_values(basis.points)
+    R = basis.point_rungs
     coeffs = R @ (w * yvals) / np.asarray(basis.sq_norms)
     return FitResult("orthogonal", basis.lam, coeffs, _sse(yvals, R.T @ coeffs, w), 1.0,
                      basis.lo, basis.hi, basis_ref=basis)

@@ -19,6 +19,7 @@ coefficient space, where multiplying by x^lam is an index shift.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,8 @@ class OrthogonalBasis:
     so callers can project onto the basis without re-deriving anything.
     ``lo``/``hi`` is the interval the basis lives on: the weight's interval
     in continuous mode, the span of the points in discrete mode.
+    ``point_rungs`` is the rung table at ``points``, kept read-only from the
+    build so a projection does not evaluate it again.
     """
 
     lam: float
@@ -122,6 +125,15 @@ class OrthogonalBasis:
         rows[0] = 1.0
         for i in range(1, self.degree_index + 1):
             _rung(rows, t, self.B, self.C, i)
+        return rows
+
+    @cached_property
+    def point_rungs(self):
+        """Read-only ``ladder_values(points)``: (n+1) x len(points) floats,
+        filled by the build's own recurrence (``dataclasses.replace`` does
+        not copy it, so a replaced basis computes its own)."""
+        rows = self.ladder_values(self.points)
+        rows.flags.writeable = False
         return rows
 
     def inner(self, f, g=None):
@@ -178,6 +190,14 @@ def _rung(rows, t, B, C, i):
         rows[i] = (t - B[i - 1]) * rows[i - 1] - C[i - 2] * rows[i - 2]
 
 
+def _distinct(pts):
+    """No two points equal (-0.0 == 0.0): increasing points need no sort."""
+    if (pts[1:] > pts[:-1]).all():
+        return True
+    s = np.sort(pts)
+    return not (s[1:] == s[:-1]).any()
+
+
 def _recurrence(points, w, lam, n, mode, lo, hi):
     t = points**lam
     rows = np.empty((n + 1,) + points.shape)
@@ -195,10 +215,14 @@ def _recurrence(points, w, lam, n, mode, lo, hi):
             raise DegeneracyError(
                 f"degenerate norm at index {i}: {sq[i]:.3e}", index=i
             )
-    return OrthogonalBasis(
+    basis = OrthogonalBasis(
         lam=lam, B=tuple(Bs), C=tuple(Cs), sq_norms=tuple(sq), mode=mode,
         points=points, ip_weights=w, lo=lo, hi=hi,
     )
+    # the rows are ladder_values(points) bit for bit: the same t and _rung
+    rows.flags.writeable = False
+    basis.__dict__["point_rungs"] = rows
+    return basis
 
 
 def build_continuous(weight, lam, n, rule=None, quad_points=DEFAULT_QUAD_POINTS):
@@ -230,7 +254,7 @@ def build_discrete(weight_values, points, lam, n):
         raise DomainError("discrete points must be finite")
     if np.any(pts < 0):
         raise DomainError("discrete points must be >= 0")
-    if len(np.unique(pts)) != len(pts):
+    if not _distinct(pts):
         raise DomainError("discrete points must be distinct")
     if len(pts) <= n:
         raise RankDeficiencyError(

@@ -26,6 +26,15 @@ __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
 PATH_STEP_BUDGET = 10_000_000
 
 
+def _discount(r, t):
+    """exp(-r * t), or DomainError naming the rate when it overflows."""
+    try:
+        return math.exp(-r * t)
+    except OverflowError:
+        raise DomainError(f"rate r = {r} overflows the discount factor exp(-r*t) "
+                          f"at t = {t}") from None
+
+
 @dataclass(frozen=True)
 class GbmConfig:
     """Geometric Brownian motion sampling grid.
@@ -33,8 +42,10 @@ class GbmConfig:
     Rates are per year, volatility per sqrt(year), horizon in years; the
     grid has ``steps`` exercise dates after time zero, and steps*paths may
     not exceed ``PATH_STEP_BUDGET``.  sigma**2 enters the drift, so sigma may
-    not exceed sqrt(float max), about 1.34e154.  ``steps``, ``paths`` and the
-    non-negative ``seed`` are integers (numpy integers are accepted).
+    not exceed sqrt(float max), about 1.34e154, and a negative rate may not
+    make the per-step discount exp(-r*horizon/steps) overflow.  ``steps``,
+    ``paths`` and the non-negative ``seed`` are integers (numpy integers are
+    accepted).
     """
 
     s0: float
@@ -63,6 +74,7 @@ class GbmConfig:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if self.steps < 1 or self.paths < 1:
             raise DomainError("need at least one step and one path")
+        _discount(self.r, self.horizon / self.steps)
         if self.steps * self.paths > PATH_STEP_BUDGET:
             raise DomainError(
                 f"steps*paths = {self.steps * self.paths} exceeds the budget "
@@ -72,7 +84,10 @@ class GbmConfig:
 
 @dataclass(frozen=True)
 class LsmcJob:
-    """An American-put pricing job: market config, strike and basis choice."""
+    """An American-put pricing job: market config, strike and basis choice.
+
+    strike * exp(-r*horizon) bounds every discounted cash flow, so it must
+    not overflow (a large negative rate with a large strike)."""
 
     gbm: GbmConfig
     strike: float
@@ -82,6 +97,9 @@ class LsmcJob:
     def __post_init__(self):
         if not (self.strike > 0 and math.isfinite(self.strike)):
             raise DomainError(f"strike must be positive and finite, got {self.strike}")
+        if not math.isfinite(self.strike * _discount(self.gbm.r, self.gbm.horizon)):
+            raise DomainError(f"rate r = {self.gbm.r} overflows the discounted strike "
+                              f"{self.strike} * exp(-r*t) at t = {self.gbm.horizon}")
         check_lambda(self.lam)
         object.__setattr__(self, "basis_degree",
                            _integer("basis degree", self.basis_degree))

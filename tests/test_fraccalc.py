@@ -17,6 +17,7 @@ from fraclsq import (
     solve_fde,
     substituted_rule,
 )
+from fraclsq import fraccalc
 from fraclsq.fraccalc import _exact_gram
 from fraclsq.functions import multi_term_problem, single_term_problem
 
@@ -351,6 +352,56 @@ def test_exact_gram_of_constant_and_power():
     x = FracFunction.from_terms([(1.0, 1.0)])
     assert _as_fractions(_exact_gram([one, x], [one, x])) == [
         [1, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
+
+
+def test_exact_gram_on_a_larger_lattice_is_the_same_rational():
+    rng = np.random.default_rng(5)
+    fs = _random_functions(rng, 4, [0.0, 0.3, 0.7, 1.1])
+    gs = _random_functions(rng, 2, [0.25, 0.7, 2.45])
+    extra = FracFunction.from_terms([(1.0, 0.125), (1.0, 3.65)])
+    got = _as_fractions(_exact_gram(fs, gs, fraccalc._lattice([*fs, *gs, extra])))
+    assert got == _as_fractions(_exact_gram(fs, gs)) == _pairwise_gram(fs, gs)
+
+
+def _exact_residual(prob, fit, n):
+    """The residual solve_fde scores, rebuilt from the fit's coefficients."""
+    phis = fraccalc._basis(fit.lam, n, fit.basis)
+    psis = [apply_operator(prob, phi) + FracFunction.from_terms([(phi.at_zero(), 0.0)])
+            for phi in phis]
+    F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
+    return FracFunction.from_terms(
+        [(a * c, e) for a, psi in zip(fit.coeffs, psis) for c, e in psi.coeff_pairs]
+        + [(-c, e) for c, e in F.coeff_pairs])
+
+
+@pytest.mark.parametrize("problem,lam,n,kind", [
+    (multi_term_problem()[0], 0.75, 6, "monomial"),
+    (multi_term_problem()[0], 0.75, 6, "muntz_legendre"),
+    (single_term_problem(0.5)[0], 0.5, 3, "monomial"),  # lam == alpha: semidefinite
+    (single_term_problem(0.5)[0], 0.5, 3, "muntz_legendre"),
+])
+def test_exact_error_is_the_pairwise_fraction_residual_norm(problem, lam, n, kind):
+    fit = solve_fde(problem, lam, n, kind)
+    resid = _exact_residual(problem, fit, n)
+    assert fit.error == float(_pairwise_gram([resid], [resid])[0][0])
+    N, D = _exact_gram([resid], [resid])
+    assert fit.error == N[0, 0] / D
+
+
+def test_exact_solve_builds_one_lattice(monkeypatch):
+    calls = []
+    lattice = fraccalc._lattice
+
+    def spy(hs):
+        calls.append(len(hs))
+        return lattice(hs)
+
+    monkeypatch.setattr(fraccalc, "_lattice", spy)
+    prob, _ = multi_term_problem()
+    for kind in ("monomial", "muntz_legendre"):
+        calls.clear()
+        solve_fde(prob, 0.75, 6, kind)
+        assert calls == [8]  # the seven operator images and the right-hand side
 
 
 def _offpool_problem():

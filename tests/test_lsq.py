@@ -24,7 +24,7 @@ from fraclsq import (
     solve_fde,
     substituted_rule,
 )
-from fraclsq import lsq
+from fraclsq import lsq, orthobasis
 from fraclsq.functions import lookup, multi_term_problem
 
 
@@ -204,6 +204,62 @@ def test_projection_requires_matching_points():
     basis = build_discrete(None, [0.0, 0.5, 1.0], 1.0, 1)
     with pytest.raises(UsageError):
         fit_projection(DataSet([0.0, 0.4, 1.0], [1.0, 2.0, 3.0]), basis)
+
+
+def test_projection_rejects_mismatched_data_weights():
+    xs = np.linspace(0.0, 1.0, 100)
+    weighted = DataSet(xs, np.exp(xs), np.arange(1.0, 101.0))
+    with pytest.raises(UsageError, match="weights"):
+        fit_projection(weighted, build_discrete(None, xs, 0.5, 3))
+    basis = build_discrete(weighted.weights, xs, 0.5, 3)
+    want = fit_projection(weighted, basis)
+    equal_copy = DataSet(xs, weighted.ys, weighted.weights.copy())
+    unweighted = DataSet(xs, weighted.ys)  # weighed by the basis alone
+    for data in (equal_copy, unweighted):
+        got = fit_projection(data, basis)
+        assert (got.coeffs.tobytes(), got.error) == (want.coeffs.tobytes(), want.error)
+
+
+def _projection_case(case):
+    y = lookup("x075+x15").fn
+    xs = np.linspace(0.02, 1.0, 300)
+    if case == "discrete":
+        return build_discrete(None, xs, 0.75, 6), DataSet(xs, y(xs))
+    if case == "discrete_weighted":
+        w = np.linspace(0.5, 2.0, 300)
+        return build_discrete(w, xs, 0.75, 6), DataSet(xs, y(xs), w)
+    if case == "unit":
+        return build_continuous(WeightSpec.unit(), 0.5, 6), y
+    return build_continuous(WeightSpec.jacobi(0.0, -0.5), 0.5, 6), y
+
+
+@pytest.mark.parametrize("case", ["discrete", "discrete_weighted", "unit", "jacobi"])
+def test_projection_equals_fresh_rung_table_reference(case):
+    basis, target = _projection_case(case)
+    fit = fit_projection(target, basis)
+    ys = target.ys if isinstance(target, DataSet) else target(basis.points)
+    w = basis.ip_weights
+    R = basis.ladder_values(basis.points)
+    coeffs = R @ (w * ys) / np.asarray(basis.sq_norms)
+    fitted = R.T @ coeffs
+    assert fit.coeffs.tobytes() == coeffs.tobytes()
+    assert fit.error == float(np.sum(w * (ys - fitted) * (ys - fitted)))
+    assert predict(fit, basis.points).tobytes() == fitted.tobytes()
+
+
+def test_discrete_projection_runs_each_rung_once(monkeypatch):
+    steps = []
+    rung = orthobasis._rung
+
+    def spy(rows, t, B, C, i):
+        steps.append(i)
+        return rung(rows, t, B, C, i)
+
+    monkeypatch.setattr(orthobasis, "_rung", spy)
+    xs = np.linspace(0.0, 1.0, 50)
+    basis = build_discrete(None, xs, 0.75, 5)
+    fit_projection(DataSet(xs, np.exp(xs)), basis)
+    assert steps == [1, 2, 3, 4, 5]  # the build's; the projection reuses its table
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,27 @@ def test_discrete_rejects_nonfinite_points_and_weights(bad):
         build_discrete([1.0, bad, 1.0], [0.0, 0.5, 1.0], 1.0, 1)
 
 
+_SHUFFLED = np.random.default_rng(3).permutation(np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("points", [
+    np.linspace(0.0, 2.0, 9),                    # sorted
+    np.linspace(0.0, 2.0, 9)[::-1],              # reversed
+    _SHUFFLED,                                   # shuffled
+    np.r_[_SHUFFLED[0], _SHUFFLED],              # duplicate at the start
+    np.r_[_SHUFFLED[:4], _SHUFFLED[2], _SHUFFLED[4:]],  # in the middle
+    np.r_[_SHUFFLED, _SHUFFLED[3]],              # at the end
+    np.array([0.0, -0.0]),                       # -0.0 == 0.0
+])
+def test_distinctness_verdict_matches_unique(points):
+    distinct = len(np.unique(points)) == len(points)
+    if distinct:
+        build_discrete(None, points, 0.5, 1)
+    else:
+        with pytest.raises(DomainError, match="distinct"):
+            build_discrete(None, points, 0.5, 1)
+
+
 # ---------------------------------------------------------------------------
 # inner_product
 # ---------------------------------------------------------------------------
@@ -296,6 +318,19 @@ def test_basis_is_pinned_bit_for_bit(case):
     assert [v.hex() for v in basis.C] == C
     assert [v.hex() for v in basis.sq_norms] == sq_norms
     assert [[c.hex() for c in p.coeffs] for p in basis.polys] == polys
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_BASES))
+def test_point_rungs_is_the_read_only_rung_table(case):
+    basis = _pinned_basis(case)
+    rows = basis.point_rungs
+    assert rows is basis.point_rungs
+    assert rows.tobytes() == basis.ladder_values(basis.points).tobytes()
+    with pytest.raises(ValueError):
+        rows[0, 0] = 2.0
+    other = replace(basis, B=tuple(2.0 * b for b in basis.B))
+    assert other.point_rungs.tobytes() == other.ladder_values(other.points).tobytes()
+    assert other.point_rungs.tobytes() != rows.tobytes()
 
 
 @pytest.mark.parametrize("field", ["lo", "hi", "beta_left", "beta_right"])

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -329,9 +331,21 @@ def test_price_equals_public_discrete_fit_loop(job):
     assert (_hex(res), res.skipped_dates) == _reference_lsmc(job)
 
 
-def test_nonfinite_regression_target_is_domain_error():
-    # a large negative rate compounds the discounted cash past the float range
-    job = LsmcJob(gbm=_cfg(r=-700.0, paths=50), strike=1e300, lam=1.0)
-    with np.errstate(over="ignore"), pytest.raises(DomainError,
-                                                   match="xs and ys must be finite"):
-        price_american_put(job)
+def test_discounted_strike_overflow_names_the_rate():
+    # a large negative rate compounds the discounted cash past the float range;
+    # strike * exp(-r * horizon) bounds that cash, so the job rejects the rate
+    with pytest.raises(DomainError, match=r"rate r = -700\.0 overflows the discounted "
+                                          r"strike 1e\+300"):
+        LsmcJob(gbm=_cfg(r=-700.0, paths=50), strike=1e300, lam=1.0)
+    cfg = _cfg(r=-700.0, horizon=0.5, steps=4, paths=50)
+    LsmcJob(gbm=cfg, strike=1e150, lam=1.0)  # 1e150 * e^350 ~ 1e302 is finite
+
+
+def test_per_step_discount_overflow_names_the_rate():
+    # exp(-r * horizon / steps) itself overflows past -r * dt = log(float max)
+    edge = math.log(sys.float_info.max)
+    _cfg(r=-edge * 0.999, horizon=1.0, steps=1)
+    for r in (-edge * 1.001, -1e308):
+        with pytest.raises(DomainError, match=re.escape(f"rate r = {r} overflows the "
+                                                        f"discount factor")):
+            _cfg(r=r, horizon=1.0, steps=1)
