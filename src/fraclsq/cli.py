@@ -73,6 +73,28 @@ def _parse_weight(text, lo, hi):
     raise InputError(f"unknown weight {text!r}; use unit or jacobi:bl:br")
 
 
+def _reject_continuous_flags(args, source):
+    """Data from ``source`` (--input, --points-file) fixes the weights and the
+    span of a fit or basis, so --weight and --interval may not be given."""
+    if args.weight != "unit":
+        raise InputError(f"--weight applies to continuous fits and bases, not to "
+                         f"{source} data")
+    if _parse_interval(args.interval) != (0.0, 1.0):
+        raise InputError(f"--interval applies to continuous fits and bases, not to "
+                         f"{source} data")
+
+
+def _basis(args, lam, points=None, weights=None):
+    """The orthogonal basis of degree --degree: discrete over ``points`` (with
+    ``weights``, None for the unit weight) when given, else continuous under
+    --weight on --interval with --quad-points nodes."""
+    if points is not None:
+        return build_discrete(weights, points, lam, args.degree)
+    lo, hi = _parse_interval(args.interval)
+    return build_continuous(_parse_weight(args.weight, lo, hi), lam, args.degree,
+                            quad_points=args.quad_points)
+
+
 @contextlib.contextmanager
 def _text_input(path, **open_kw):
     """``path`` opened as UTF-8 text, a leading byte-order mark skipped; a
@@ -210,34 +232,27 @@ def cmd_fit(args):
     data = None
     if args.input:
         data = read_xy_csv(args.input)
+        _reject_continuous_flags(args, "--input")
     elif not args.function:
         raise InputError("fit needs --input CSV or --function NAME")
-
-    if data is not None and args.weight != "unit":
-        raise InputError("CSV fits take weights from the w column; "
-                         "--weight applies to --function fits")
 
     for lam in lams:
         if data is not None:
             if args.method == "projection":
-                weights = data.weight_array()
-                basis = build_discrete(weights, data.xs, lam, args.degree)
+                basis = _basis(args, lam, data.xs, data.weight_array())
                 fit = fit_projection(data, basis)
             else:
                 fit = fit_discrete_normal(data, lam, args.degree)
         else:
             fn = lookup(args.function)
-            lo, hi = _parse_interval(args.interval)
             if args.method == "projection":
-                weight = _parse_weight(args.weight, lo, hi)
-                basis = build_continuous(weight, lam, args.degree,
-                                         quad_points=args.quad_points)
-                fit = fit_projection(fn, basis)
+                fit = fit_projection(fn, _basis(args, lam))
             else:
                 if args.weight != "unit":
                     raise InputError(
                         "the continuous normal equations use the unit weight; "
                         "use --method projection for weighted fits")
+                lo, hi = _parse_interval(args.interval)
                 exps = fn.exponents + tuple(lam * i for i in range(args.degree + 1))
                 rule = quad.ladder_rule(args.quad_points, exps, lo, hi, fallback_step=lam)
                 fit = fit_continuous_normal(fn, lo, hi, lam, args.degree, rule=rule)
@@ -265,11 +280,10 @@ def cmd_orthpoly(args):
     lo, hi = _parse_interval(args.interval)
     if args.points_file:
         points = read_points_file(args.points_file)
-        basis = build_discrete(None, points, lam, args.degree)
+        _reject_continuous_flags(args, "--points-file")
+        basis = _basis(args, lam, points)
     else:
-        weight = _parse_weight(args.weight, lo, hi)
-        basis = build_continuous(weight, lam, args.degree,
-                                 quad_points=args.quad_points)
+        basis = _basis(args, lam)
     doc = {
         "job": "orthpoly",
         "params": {"lambda": lam, "degree": args.degree, "weight": args.weight,

@@ -34,7 +34,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConditioningError, DegeneracyError, DomainError, check_lambda
+from .errors import (ConditioningError, DegeneracyError, DomainError, check_degree,
+                     check_lambda)
 from .fracpoly import muntz_legendre_coeffs
 from .lsq import FitResult, _normal_solve, _sse, predict
 from .solvers import solve_normal_equations
@@ -247,8 +248,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
     DegeneracyError when its normal equations are singular.
     """
     check_lambda(lam)
-    if n < 0 or n + 1 > MAX_FDE_SIZE:
-        raise DomainError(f"degree index must be in [0, {MAX_FDE_SIZE - 1}]")
+    n = check_degree(n, MAX_FDE_SIZE - 1)
     if prob.rhs is None:
         raise DomainError("problem has no right-hand side")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_lambda
+from .errors import DomainError, check_abscissae, check_degree, check_lambda
 
 __all__ = [
     "FractionalPolynomial",
@@ -58,8 +58,7 @@ def _scalar_or_array(v):
 def frac_poly_eval(p, x):
     """Evaluate P(x) = sum_i a_i x^(i*lam) at a scalar or an array of x >= 0."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise DomainError(f"fractional polynomials take finite x >= 0, got {x}")
+    check_abscissae(x, "fractional polynomial abscissae")
     # Horner in u = x^lam; 0^lam = 0 leaves a_0 at x = 0
     return _scalar_or_array(np.polyval(p.coeffs[::-1], x**p.lam))
 
@@ -69,16 +68,11 @@ def muntz_legendre_coeffs(n, lam):
 
     coeff[i] = (-1)^(n-i) / (lam^n i! (n-i)!) * prod_{k<n} ((i+k) lam + 1).
 
-    The products grow factorially, so this route is capped at degree 30;
-    use :func:`muntz_legendre_eval` for stable evaluation at large n.
+    The products grow factorially, so this route is capped at degree 30
+    (``MAX_DIRECT_DEGREE``); use :func:`muntz_legendre_eval` for stable
+    evaluation at large n.
     """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    if n > MAX_DIRECT_DEGREE:
-        raise DomainError(
-            f"direct coefficient construction is limited to n <= {MAX_DIRECT_DEGREE} "
-            f"(factorial overflow), got {n}"
-        )
+    n = check_degree(n, MAX_DIRECT_DEGREE)
     check_lambda(lam)
     coeffs = []
     for i in range(n + 1):
@@ -109,10 +103,8 @@ def muntz_legendre_rungs(n, lam, x):
     """
     check_lambda(lam)
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0.0)):
-        raise DomainError(f"Muntz-Legendre polynomials take finite x >= 0, got x={x}")
-    if n < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {n}")
+    check_abscissae(x, "Muntz-Legendre abscissae")
+    n = check_degree(n)
     b = 1.0 / lam - 1.0
     t = 2.0 * x**lam - 1.0
     rows = np.empty((n + 1,) + t.shape)
@@ -132,4 +124,4 @@ def muntz_legendre_eval(n, lam, x):
     """Evaluate L_n(x; lam) on [0, 1] through the Jacobi representation."""
     if not np.all(np.asarray(x) <= 1.0):
         raise DomainError(f"Muntz-Legendre polynomials live on [0, 1], got x={x}")
-    return _scalar_or_array(muntz_legendre_rungs(n, lam, x)[n])
+    return _scalar_or_array(muntz_legendre_rungs(n, lam, x)[-1])

@@ -19,13 +19,13 @@ quadrature path and LSMC too): :func:`_normal_solve` solves, :func:`_sse` scores
 once per exercise date with no DataSet or FitResult around it.
 """
 
-import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, UsageError, check_lambda
+from .errors import (ConditioningError, DomainError, UsageError, check_abscissae,
+                     check_degree, check_integer, check_lambda, check_weights)
 from .fracpoly import FractionalPolynomial, muntz_legendre_coeffs, muntz_legendre_rungs
 from .orthobasis import OrthogonalBasis
 from .solvers import solve_normal_equations
@@ -61,17 +61,15 @@ class DataSet:
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or xs.shape != ys.shape or len(xs) == 0:
             raise DomainError("xs and ys must be equal-length non-empty 1-d arrays")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise DomainError("xs and ys must be finite")
-        if np.any(xs < 0):
-            raise DomainError("abscissae must be >= 0 (fractional powers)")
+        check_abscissae(xs, "xs")
+        if not np.all(np.isfinite(ys)):
+            raise DomainError("ys must be finite")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             object.__setattr__(self, "weights", w)
             if w.shape != xs.shape:
                 raise DomainError("weights must match the data length")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise DomainError("weights must be finite and strictly positive")
+            check_weights(w, "weights")
 
     def __len__(self):
         return len(self.xs)
@@ -101,6 +99,7 @@ class FitResult:
     basis_ref: Optional[OrthogonalBasis] = None
 
     def __post_init__(self):
+        check_lambda(self.lam)
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         if self.error < 0 and self.error > -1e-12:
             object.__setattr__(self, "error", 0.0)  # tiny negative from roundoff
@@ -147,8 +146,7 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
     if not 0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
     check_lambda(lam)
-    if n < 0 or n + 1 > MAX_CONTINUOUS_SIZE:
-        raise DomainError(f"degree index must be in [0, {MAX_CONTINUOUS_SIZE - 1}]")
+    n = check_degree(n, MAX_CONTINUOUS_SIZE - 1)
     if rule is None:
         rule = quad.ladder_rule(DEFAULT_QUAD_POINTS, lam * np.arange(n + 1), lo, hi,
                                 fallback_step=lam)
@@ -170,8 +168,7 @@ def fit_discrete_normal(data, lam, n):
     coefficients) or a numerically singular system.
     """
     check_lambda(lam)
-    if n < 0:
-        raise DomainError(f"degree index must be >= 0, got {n}")
+    n = check_degree(n)
     if len(data) < n + 1:
         raise ConditioningError(
             f"{len(data)} points cannot determine {n + 1} coefficients",
@@ -225,8 +222,7 @@ def predict(fit, x):
     """Evaluate the fitted expansion at finite x >= 0 (extrapolation allowed)."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(xa) & (xa >= 0)):
-        raise DomainError("fits evaluate at finite x >= 0 only")
+    check_abscissae(xa, "fit abscissae")
     if fit.basis == "monomial":
         V = _monomial_values(fit.lam, len(fit.coeffs) - 1, xa)
     elif fit.basis == "muntz_legendre":
@@ -255,21 +251,13 @@ def expand_to_monomial(fit):
     return FractionalPolynomial(fit.lam, tuple(out))
 
 
-def _integer(name, value):
-    """``value`` as a Python int; floats (even integral ones) are rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
 def add_noise(data, percent, seed):
     """Perturb ys with zero-mean Gaussian noise, sigma = percent/100 * |y_k|.
 
     Deterministic for a fixed seed, a non-negative integer; percent = 0
     returns the data unchanged.
     """
-    if _integer("noise seed", seed) < 0:
+    if check_integer(seed, "noise seed") < 0:
         raise DomainError(f"noise seed must be >= 0, got {seed}")
     if not np.isfinite(percent):
         raise DomainError(f"noise percent must be finite, got {percent}")

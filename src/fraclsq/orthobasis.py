@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, RankDeficiencyError, UsageError, check_lambda
+from .errors import (DegeneracyError, DomainError, RankDeficiencyError, UsageError,
+                     check_abscissae, check_degree, check_lambda, check_weights)
 from .fracpoly import FractionalPolynomial
 from . import quadrature as quad
 
@@ -85,6 +86,10 @@ class OrthogonalBasis:
     in continuous mode, the span of the points in discrete mode.
     ``point_rungs`` is the rung table at ``points``, kept read-only from the
     build so a projection does not evaluate it again.
+
+    The basis owns ``points`` and ``ip_weights``: ``build_discrete`` keeps
+    the caller's float64 arrays without copying them, so writing to them
+    afterwards silently invalidates B, C, the norms and ``point_rungs``.
     """
 
     lam: float
@@ -96,6 +101,9 @@ class OrthogonalBasis:
     ip_weights: np.ndarray
     lo: float
     hi: float
+
+    def __post_init__(self):
+        check_lambda(self.lam)
 
     @property
     def degree_index(self):
@@ -232,8 +240,7 @@ def build_continuous(weight, lam, n, rule=None, quad_points=DEFAULT_QUAD_POINTS)
     folded in (its nodes/weights define the inner product the basis is
     orthogonal against).
     """
-    if n < 0:
-        raise DomainError(f"degree index must be >= 0, got {n}")
+    n = check_degree(n)
     check_lambda(lam)
     if rule is None:
         rule = default_rule(weight, lam, max(quad_points, 2 * n + 8))
@@ -246,16 +253,17 @@ def build_discrete(weight_values, points, lam, n):
 
     ``weight_values`` may be None for the unit weight, else finite and
     positive.  Needs at least n+1 distinct points, all finite and >= 0.
+    The basis keeps float64 ``points`` and ``weight_values`` arrays as they
+    are, without a copy (a copy would cost 8 MB per array at 10^6 points):
+    do not write to them while the basis is in use.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or len(pts) == 0:
         raise DomainError("points must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("discrete points must be finite")
-    if np.any(pts < 0):
-        raise DomainError("discrete points must be >= 0")
+    check_abscissae(pts, "discrete points")
     if not _distinct(pts):
         raise DomainError("discrete points must be distinct")
+    n = check_degree(n)
     if len(pts) <= n:
         raise RankDeficiencyError(
             f"{len(pts)} points cannot support degree index {n}", index=n
@@ -267,6 +275,5 @@ def build_discrete(weight_values, points, lam, n):
         w = np.asarray(weight_values, dtype=float)
         if w.shape != pts.shape:
             raise UsageError("weight_values and points must have equal length")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise DomainError("weight values must be finite and strictly positive")
+        check_weights(w, "weight values")
     return _recurrence(pts, w, lam, n, "discrete", float(pts.min()), float(pts.max()))

@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, check_lambda
-from .lsq import _discrete_fit, _integer
+from .errors import (ConditioningError, DomainError, check_abscissae, check_degree,
+                     check_integer, check_lambda)
+from .lsq import _discrete_fit
 
 __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
            "price_american_put"]
@@ -58,7 +59,7 @@ class GbmConfig:
 
     def __post_init__(self):
         for name in ("steps", "paths", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         for name in ("s0", "r", "sigma", "horizon"):
@@ -86,8 +87,10 @@ class GbmConfig:
 class LsmcJob:
     """An American-put pricing job: market config, strike and basis choice.
 
-    strike * exp(-r*horizon) bounds every discounted cash flow, so it must
-    not overflow (a large negative rate with a large strike)."""
+    strike * exp(-r*horizon) must not overflow (a large negative rate with a
+    large strike).  M = strike * max(1, exp(-r*horizon)) bounds every
+    discounted cash flow, so the price's mean and variance sums stay finite
+    when paths * M**2 <= float max; a larger strike is rejected."""
 
     gbm: GbmConfig
     strike: float
@@ -97,14 +100,19 @@ class LsmcJob:
     def __post_init__(self):
         if not (self.strike > 0 and math.isfinite(self.strike)):
             raise DomainError(f"strike must be positive and finite, got {self.strike}")
-        if not math.isfinite(self.strike * _discount(self.gbm.r, self.gbm.horizon)):
+        disc = _discount(self.gbm.r, self.gbm.horizon)
+        if not math.isfinite(self.strike * disc):
             raise DomainError(f"rate r = {self.gbm.r} overflows the discounted strike "
                               f"{self.strike} * exp(-r*t) at t = {self.gbm.horizon}")
+        bound = self.strike * max(1.0, disc)
+        if self.gbm.paths * bound * bound > sys.float_info.max:
+            raise DomainError(f"strike {self.strike} is too large: the cash-flow bound "
+                              f"M = strike * max(1, exp(-r*t)) = {bound} overflows the "
+                              f"price's variance sum over {self.gbm.paths} paths "
+                              f"(need paths * M**2 <= float max)")
         check_lambda(self.lam)
         object.__setattr__(self, "basis_degree",
-                           _integer("basis degree", self.basis_degree))
-        if self.basis_degree < 1:
-            raise DomainError("basis degree must be >= 1")
+                           check_degree(self.basis_degree, least=1, noun="basis degree"))
 
 
 class PriceResult(NamedTuple):
@@ -172,8 +180,7 @@ def price_american_put(job, paths=None):
             raise DomainError(
                 f"paths must have shape {(cfg.paths, cfg.steps + 1)} "
                 f"(paths, steps+1), got {paths.shape}")
-        if not np.all(np.isfinite(paths) & (paths >= 0)):
-            raise DomainError("path prices must be finite and >= 0")
+        check_abscissae(paths, "path prices")
     dates = np.ascontiguousarray(paths.T)  # row t = every path at date t
     dt = cfg.horizon / cfg.steps
     disc = np.exp(-cfg.r * dt)
@@ -190,8 +197,6 @@ def price_american_put(job, paths=None):
             skipped.append(t)
             continue
         ys = cash[itm]
-        if not np.isfinite(ys).all():
-            raise DomainError("xs and ys must be finite")
         try:
             continuation = _discrete_fit(spot[itm], ys, np.ones(len(itm)), job.lam,
                                          job.basis_degree)[2]

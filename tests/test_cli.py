@@ -439,6 +439,8 @@ def _with(base, flag, value):
     (_PRICE + ["--rate=-1e308"], "rate r = -1e+308 overflows the discount factor"),
     (_PRICE + ["--rate=-700", "--strike=1e300"],
      "rate r = -700.0 overflows the discounted strike"),
+    # 100 paths of cash flows up to 1e308 overflow the price's sums
+    (_with(_PRICE, "--strike", "1e308"), "strike 1e+308 is too large"),
 ])
 def test_nonfinite_options_are_input_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)
@@ -629,3 +631,46 @@ def test_negative_seed_is_input_error(args, sales_csv, capsys):
     code, out, err = run_cli([a.format(csv=sales_csv) for a in args], capsys)
     assert code == 2
     assert out == "" and "seed must be >= 0" in err
+
+
+_DEGREE_MESSAGE = "error: degree index must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["fit", "--input", "{csv}", "--method", "projection", "--lambda", "0.5",
+      "--degree", "-1"], _DEGREE_MESSAGE),
+    (["fit", "--input", "{csv}", "--lambda", "0.5", "--degree", "-1"], _DEGREE_MESSAGE),
+    (["orthpoly", "--points-file", "{pts}", "--lambda", "0.5", "--degree", "-1"],
+     _DEGREE_MESSAGE),
+    (["orthpoly", "--lambda", "0.5", "--degree", "-1"], _DEGREE_MESSAGE),
+    (["orthpoly", "--points-file", "{pts}", "--lambda", "0.5", "--degree", "2",
+      "--weight", "jacobi:0:-0.5", "--interval", "3:7"],
+     "error: --weight applies to continuous fits and bases, not to --points-file data\n"),
+    (["orthpoly", "--points-file", "{pts}", "--lambda", "0.5", "--degree", "2",
+      "--interval", "3:7"],
+     "error: --interval applies to continuous fits and bases, not to --points-file "
+     "data\n"),
+    (["fit", "--input", "{csv}", "--method", "projection", "--lambda", "0.5",
+      "--degree", "1", "--weight", "jacobi:0:-0.5"],
+     "error: --weight applies to continuous fits and bases, not to --input data\n"),
+    (["fit", "--input", "{csv}", "--lambda", "0.5", "--degree", "1", "--interval", "3:7"],
+     "error: --interval applies to continuous fits and bases, not to --input data\n"),
+])
+def test_bad_degree_and_discrete_flags_are_input_errors(args, message, sales_csv,
+                                                         tmp_path, capsys):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0.1\n0.5\n0.9\n", encoding="utf-8")
+    code, out, err = run_cli([a.format(csv=sales_csv, pts=pts) for a in args], capsys)
+    assert code == 2
+    assert out == "" and err == message
+
+
+def test_discrete_sources_accept_the_default_interval_spelled_out(sales_csv, tmp_path,
+                                                                  capsys):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0.1\n0.5\n0.9\n", encoding="utf-8")
+    base = ["orthpoly", "--points-file", str(pts), "--lambda", "0.5", "--degree", "2"]
+    code, plain, _ = run_cli(base, capsys)
+    assert code == 0
+    code, spelled, _ = run_cli(base + ["--interval", "0.0:1", "--weight", "unit"], capsys)
+    assert code == 0 and spelled == plain

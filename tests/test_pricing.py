@@ -338,7 +338,11 @@ def test_discounted_strike_overflow_names_the_rate():
                                           r"strike 1e\+300"):
         LsmcJob(gbm=_cfg(r=-700.0, paths=50), strike=1e300, lam=1.0)
     cfg = _cfg(r=-700.0, horizon=0.5, steps=4, paths=50)
-    LsmcJob(gbm=cfg, strike=1e150, lam=1.0)  # 1e150 * e^350 ~ 1e302 is finite
+    # 1e150 * e^350 ~ 1e302 is finite, so the rate passes; 50 paths of that
+    # cash overflow the variance sum, so the strike is named instead
+    with pytest.raises(DomainError, match=r"strike 1e\+150 is too large"):
+        LsmcJob(gbm=cfg, strike=1e150, lam=1.0)
+    LsmcJob(gbm=cfg, strike=10.0, lam=1.0)  # 50 * (10 * e^350)**2 ~ 5e307 is finite
 
 
 def test_per_step_discount_overflow_names_the_rate():
