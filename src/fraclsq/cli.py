@@ -9,6 +9,7 @@ precision via round-trip repr.  Exit codes: 0 success, 2 input error,
 import argparse
 import contextlib
 import csv
+import functools
 import inspect
 import json
 import sys
@@ -187,13 +188,14 @@ def read_points_file(path):
     return np.array(pts)
 
 
-def _write_xy_csv(path, header, xs, ys):
-    """Write two float columns as ``csv.writer`` would: round-trip reprs and
+def _write_csv(path, header, *columns):
+    """Write float columns as ``csv.writer`` would: round-trip reprs and
     ``\\r\\n`` line ends.  ``path`` None writes to stdout."""
+    row = ",".join(["{!r}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") if path \
             else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(header + "\r\n")
-        fh.writelines(map("{!r},{!r}\r\n".format, xs.tolist(), ys.tolist()))
+        fh.writelines(map(row.format, *(c.tolist() for c in columns)))
 
 
 def _emit(doc, out_path):
@@ -218,7 +220,7 @@ def _fit_doc(fit, predictions):
 
 def _write_curve(path, fit, lo, hi):
     xs = np.linspace(lo, hi, CURVE_SAMPLES)
-    _write_xy_csv(path, "x,y_fit", xs, predict(fit, xs))
+    _write_csv(path, "x,y_fit", xs, predict(fit, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,10 @@ def cmd_reproduce(args):
 def cmd_noise(args):
     data = read_xy_csv(args.input)
     noisy = add_noise(data, args.percent, args.seed)
-    _write_xy_csv(args.out, "x,y", noisy.xs, noisy.ys)
+    if noisy.weights is None:
+        _write_csv(args.out, "x,y", noisy.xs, noisy.ys)
+    else:
+        _write_csv(args.out, "x,y,w", noisy.xs, noisy.ys, noisy.weights)
     return EXIT_OK
 
 
@@ -386,7 +391,11 @@ def cmd_noise(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parsing reads it and never
+    changes it, so every ``main`` call shares one.  Each verb's ``run``
+    handler is bound here, at that first build."""
     p = argparse.ArgumentParser(
         prog="fraclsq",
         description="Least-squares fitting, fractional ODE solving and LSMC "

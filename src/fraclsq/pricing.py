@@ -113,6 +113,17 @@ class LsmcJob:
         check_lambda(self.lam)
         object.__setattr__(self, "basis_degree",
                            check_degree(self.basis_degree, least=1, noun="basis degree"))
+        # an in-the-money spot is below the strike, so every power-table entry
+        # S^(k*lam), k <= 2 * degree, is below max(1, strike)^(2 * degree * lam);
+        # compared in log space, the degree kept an exact int
+        growth = 2 * self.lam * math.log(max(1.0, self.strike))
+        if growth > 0 and \
+                self.basis_degree > math.log(sys.float_info.max / self.gbm.paths) / growth:
+            raise DomainError(f"strike {self.strike} is too large for lambda = {self.lam} "
+                              f"and basis degree {self.basis_degree}: the regression's "
+                              f"moment sums over {self.gbm.paths} paths overflow "
+                              f"(need paths * max(1, strike)**(2 * degree * lambda) "
+                              f"<= float max)")
 
 
 class PriceResult(NamedTuple):

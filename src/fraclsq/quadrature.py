@@ -14,7 +14,10 @@ unit-weight rule for a given exponent set.  :func:`sample` is the one
 evaluator of user callables.
 
 Node/weight computation is delegated to the Golub-Welsch implementations in
-numpy/scipy rather than re-deriving the eigenvalue problem here.
+numpy/scipy rather than re-deriving the eigenvalue problem here.  scipy is
+imported by :func:`gauss_jacobi` when it first builds a Jacobi rule, so a
+process that builds none (LSMC pricing, exact-moment FDE solves, discrete
+fits) never loads it.
 """
 
 import math
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, check_lambda
 
@@ -101,6 +103,8 @@ def gauss_jacobi(m, beta_left, beta_right, lo=-1.0, hi=1.0):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if beta_left == 0.0 and beta_right == 0.0:
         return gauss_legendre(m, lo, hi)
+    from scipy.special import roots_jacobi
+
     # scipy's convention: weight (1-t)^alpha (1+t)^beta on [-1, 1], so the
     # right-endpoint factor maps to alpha and the left one to beta.
     t, w = roots_jacobi(m, beta_right, beta_left)

@@ -15,7 +15,11 @@ the solve is made stability-aware in two cheap ways:
 The reported condition estimate always refers to the raw, un-equilibrated
 matrix: it is the diagnostic the caller uses to compare basis choices.
 Most systems are tiny (LSMC solves a 3×3 or 4×4 one per exercise date), so
-the code around the LAPACK calls avoids numpy's Python-level wrappers.
+per-call Python overhead counts: the LAPACK work goes through
+``np.linalg.svd``, ``np.linalg.solve`` and ``np.linalg.eigh``, while the
+condition estimate and the residual norm skip the extra checks of
+``np.linalg.cond`` and ``np.linalg.norm`` and compute the same values
+directly.
 """
 
 import math

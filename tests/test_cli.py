@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclsq import cli
+from fraclsq import cli, gauss_jacobi
 from fraclsq.cli import main, read_xy_csv
 
 
@@ -563,6 +563,30 @@ def test_noise_output_bytes(tmp_path, sales_csv, capsys):
     assert run_cli(args, capsys) == (0, _NOISY_SALES.decode(), "")
 
 
+def test_noise_keeps_the_weight_column(tmp_path, sales_csv, capsys):
+    weighted = tmp_path / "weighted.csv"
+    write_csv(weighted, ["1,10000,0.1", "2,21000,2", "3,50000,1e-300", "4,70000,7.25"],
+              header="x,y,w")
+    args = ["--percent", "5", "--seed", "9"]
+    code, plain, _ = run_cli(["noise", "--input", str(sales_csv), *args], capsys)
+    assert code == 0
+    code, out, err = run_cli(["noise", "--input", str(weighted), *args], capsys)
+    assert (code, err) == (0, "")
+    # x and y as the unweighted file gets them, then w as read, in repr form
+    rows = [line.split(",") for line in out.split("\r\n")[:-1]]
+    assert [r[:2] for r in rows] == [r.split(",") for r in plain.split("\r\n")[:-1]]
+    assert [r[2] for r in rows] == ["w", "0.1", "2.0", "1e-300", "7.25"]
+    assert out.endswith("\r\n") and "\n" not in out.replace("\r\n", "")
+    code, out, _ = run_cli(["noise", "--input", str(weighted), "--percent", "0"], capsys)
+    assert code == 0
+    assert out == ("x,y,w\r\n1.0,10000.0,0.1\r\n2.0,21000.0,2.0\r\n"
+                   "3.0,50000.0,1e-300\r\n4.0,70000.0,7.25\r\n")
+    noisy = tmp_path / "noisy.csv"
+    assert run_cli(["noise", "--input", str(weighted), *args, "--out", str(noisy)],
+                   capsys)[0] == 0
+    assert np.array_equal(read_xy_csv(noisy).weights, read_xy_csv(weighted).weights)
+
+
 def test_noise_nonfinite_percent_is_input_error(sales_csv, capsys):
     code, out, err = run_cli(
         ["noise", "--input", str(sales_csv), "--percent", "nan"], capsys)
@@ -600,12 +624,16 @@ def test_orthpoly_nonfinite_weight_is_input_error(weight, interval, capsys):
     assert "Traceback" not in err
 
 
-def _python_m_fraclsq(args, cwd):
+def _python(args, cwd, text=True):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "fraclsq", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=text, timeout=120)
+
+
+def _python_m_fraclsq(args, cwd, text=True):
+    return _python(["-m", "fraclsq", *args], cwd, text)
 
 
 def test_python_m_fraclsq_runs_the_cli(tmp_path):
@@ -674,3 +702,78 @@ def test_discrete_sources_accept_the_default_interval_spelled_out(sales_csv, tmp
     assert code == 0
     code, spelled, _ = run_cli(base + ["--interval", "0.0:1", "--weight", "unit"], capsys)
     assert code == 0 and spelled == plain
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_matches_fresh_processes(sales_csv, tmp_path, capsys):
+    # a rejected call leaves nothing behind in the shared parser: later verbs
+    # print what a fresh process prints for them
+    code, out, err = run_cli(["price", "--s0", "38", "--lambda", "0.5"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: fraclsq price") and "error: the following" in err
+    good = [["noise", "--input", str(sales_csv), "--percent", "5", "--seed", "9"], _FDE]
+    for args in good:
+        code, out, _ = run_cli(args, capsys)
+        proc = _python_m_fraclsq(args, tmp_path, text=False)  # keep noise's \r\n
+        assert code == proc.returncode == 0
+        assert out.encode() == proc.stdout
+
+
+@pytest.mark.parametrize("args", [["--help"], ["price", "--help"]])
+def test_help_exits_zero_on_every_call(args, capsys):
+    first = run_cli(args, capsys)
+    assert first[0] == 0 and first[1].startswith("usage: fraclsq") and first[2] == ""
+    assert run_cli(args, capsys) == first
+
+
+def test_price_power_table_overflow_is_one_error_line(tmp_path):
+    # the regression's power table would reach (1.1e150)**8: rejected before
+    # numpy warnings or LAPACK messages, which go to the C-level stderr
+    proc = _python_m_fraclsq(
+        ["price", "--s0", "1e150", "--strike", "1.1e150", "--horizon", "0.5", "--steps",
+         "4", "--paths", "100", "--lambda", "2", "--sigma=0.2", "--rate=0"], tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: strike 1.1e+150 is too large for lambda = 2.0 "
+                                  "and basis degree 2")
+    assert proc.stderr.count("\n") == 1
+
+
+#: run in a fresh interpreter: the paths that build no Gauss-Jacobi rule,
+#: then one Jacobi rule; prints whether scipy was loaded before and after it
+_COLD_START = """
+import contextlib, io, json, sys
+import fraclsq, fraclsq.cli
+from fraclsq.functions import lookup
+
+job = fraclsq.LsmcJob(gbm=fraclsq.GbmConfig(s0=38.0, r=0.05, sigma=0.71, horizon=0.5,
+                                            steps=4, paths=200, seed=1),
+                      strike=48.0, lam=0.75)
+fraclsq.price_american_put(job)
+problem = fraclsq.FdeProblem(terms=((0.5, 1.0),), rhs=lookup("fde-single-rhs").frac)
+fraclsq.solve_fde(problem, 0.5, 4)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [fraclsq.cli.main(["noise", "--input", sys.argv[1], "--percent", "5"]),
+             fraclsq.cli.main(["price", "--s0", "38", "--rate", "0.05", "--sigma", "0.71",
+                               "--strike", "48", "--horizon", "0.5", "--steps", "4",
+                               "--paths", "100", "--lambda", "0.75"])]
+before = "scipy" in sys.modules
+rule = fraclsq.gauss_jacobi(8, 0.0, -0.5)
+print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules,
+                  "nodes": [v.hex() for v in rule.nodes.tolist()],
+                  "weights": [v.hex() for v in rule.weights.tolist()]}))
+"""
+
+
+def test_scipy_is_imported_only_for_a_jacobi_rule(sales_csv, tmp_path):
+    # a subprocess, since this test process may already hold scipy
+    proc = _python(["-c", _COLD_START, str(sales_csv)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0]
+    assert (got["before"], got["after"]) == (False, True)
+    rule = gauss_jacobi(8, 0.0, -0.5)
+    assert got["nodes"] == [v.hex() for v in rule.nodes.tolist()]
+    assert got["weights"] == [v.hex() for v in rule.weights.tolist()]

@@ -353,3 +353,36 @@ def test_per_step_discount_overflow_names_the_rate():
         with pytest.raises(DomainError, match=re.escape(f"rate r = {r} overflows the "
                                                         f"discount factor")):
             _cfg(r=r, horizon=1.0, steps=1)
+
+
+def test_power_table_overflow_names_strike_lambda_and_degree():
+    # in-the-money spots lie below the strike, so paths * strike**(2 * degree * lam)
+    # bounds the regression's moment sums; past float max the job is rejected
+    cfg = _cfg(s0=1e150, r=0.0, sigma=0.2, horizon=0.5, steps=4, paths=100)
+    with pytest.raises(DomainError, match=re.escape(
+            "strike 1.1e+150 is too large for lambda = 2.0 and basis degree 2")):
+        LsmcJob(gbm=cfg, strike=1.1e150, lam=2.0)
+    # the edge for lam = 2, degree 2: strike**8 * 100 = float max
+    edge = math.exp(math.log(sys.float_info.max / 100) / 8)
+    LsmcJob(gbm=cfg, strike=edge * 0.999, lam=2.0)
+    with pytest.raises(DomainError, match="basis degree 2"):
+        LsmcJob(gbm=cfg, strike=edge * 1.001, lam=2.0)
+    with pytest.raises(DomainError, match="basis degree 3"):
+        LsmcJob(gbm=cfg, strike=edge * 0.999, lam=2.0, basis_degree=3)
+    LsmcJob(gbm=cfg, strike=edge * 0.999, lam=1.0, basis_degree=3)
+    # strikes up to 1 bound every power by 1, whatever the degree
+    LsmcJob(gbm=cfg, strike=1.0, lam=2.0, basis_degree=10**400)
+    with pytest.raises(DomainError, match="basis degree 10000000000"):
+        LsmcJob(gbm=cfg, strike=1.5, lam=2.0, basis_degree=10**10)
+
+
+def test_power_table_bound_is_checked_last():
+    # 1e100 passes the cash-flow bound but not the power-table one (1e800), so
+    # a bad lambda or degree is named first
+    cfg = _cfg(r=0.0, paths=100)
+    with pytest.raises(DomainError, match="lambda must lie in"):
+        LsmcJob(gbm=cfg, strike=1e100, lam=2.5)
+    with pytest.raises(DomainError, match="basis degree must be"):
+        LsmcJob(gbm=cfg, strike=1e100, lam=2.0, basis_degree=0)
+    with pytest.raises(DomainError, match=r"strike 1e\+100 is too large for lambda"):
+        LsmcJob(gbm=cfg, strike=1e100, lam=2.0)
