@@ -3,29 +3,21 @@ least-squares solver for linear multi-term fractional differential equations
 on [0, 1].
 
 The solver expands the unknown over a ladder basis of the fractional
-monomial space, forms the equation residual
+monomial space and minimizes the integral of the squared residual
 
-    R(x; a) = sum_m c_m D^(alpha_m) P(x) + reaction * P(x) - f(x)
-              + (P(0) - y0)
+    R(x; a) = sum_m c_m D^(alpha_m) P(x) + reaction * P(x) - f(x) + (P(0) - y0)
 
-(the initial condition enters as a constant inside the residual, which also
-pins the constant basis direction the Caputo operator annihilates), and
-minimizes the integral of R^2.  Because every operator image is again a
-finite sum of power functions, all inner products reduce to closed-form
-moments; they are assembled in exact rational arithmetic and the normal
-equations solved with exact-residual refinement, so a solution that lies in
-the basis span is recovered to the last bit and the reported error
-functional is the exact integral of the squared residual at the returned
-coefficients.
-
-The exact moments are one integer matrix product over one denominator: all
-functions of one Gram matrix are written over one shared exponent set, and
-the kernel 1/(e_a + e_b + 1) becomes integer weights over the lcm of the
-distinct exponent sums (see ``_lattice`` and ``_exact_gram``).  One
-solve builds that lattice once, from the operator images and the
-right-hand side, and scores its residual on it too.  The augmented system
-[G | d] stays in that form through every refinement residual; floats come
-from one correctly rounded int/int division per entry.
+(the initial condition enters as a constant, which also pins the constant
+basis direction the Caputo operator annihilates).  Power sums are held as
+float coefficient matrices over sorted keyed exponents (``_merge``): the
+basis is one, and the operator is a column map on it (``_image``) whose
+blocks sum to the images Psi of all rungs at once; ``caputo_derivative`` and
+``apply_operator`` are that map on one row.  With a power-sum right-hand
+side F on [0, 1], the Gram matrix of [Psi; F] is one integer product over one
+exponent lattice (``_lattice``, ``_exact_gram``), kept exact through every
+refinement residual, so a solution in the basis span is recovered to the
+last bit and the error is the exact integral of the squared residual row.
+Otherwise a quadrature rule samples the rows of Psi for ``lsq``'s float core.
 """
 
 import math
@@ -38,7 +30,7 @@ from .errors import (ConditioningError, DegeneracyError, DomainError, check_degr
                      check_lambda)
 from .fracpoly import muntz_legendre_coeffs
 from .lsq import FitResult, _normal_solve, _sse, predict
-from .solvers import solve_normal_equations
+from .solvers import _dyadic, solve_normal_equations
 from . import quadrature as quad
 from .special import gamma
 
@@ -53,9 +45,11 @@ __all__ = [
 
 MAX_FDE_SIZE = 15  # n+1 cap for the residual normal equations
 
-#: exponents are keyed after rounding to this many decimals, so terms built
-#: through different arithmetic paths (i*lam - alpha vs (i*lam) - alpha)
-#: collapse onto one ladder rung
+#: exponents are keyed by rounding to this many decimals so that one exponent
+#: reached by different float arithmetic lands on one column: a keyed rung
+#: shifted by an order, (i*lam) - alpha, and the same exponent written as
+#: i*lam - alpha in a right-hand side differ in their last bits.  Below the
+#: exponent cap of about 30 such differences are under 1e-14, far inside 5e-13.
 _EXP_DECIMALS = 12
 
 
@@ -113,6 +107,47 @@ class FracFunction:
         return FracFunction.from_terms(self.coeff_pairs + other.coeff_pairs)
 
 
+def _merge(rows, blocks):
+    """(exps, M): (exponents, matrix) blocks summed into the first rows of a
+    ``rows``-row matrix, per keyed exponent from 0.0 in block order as
+    ``from_terms`` sums; all-zero columns drop."""
+    keyed = [[_key(e) for e in es] for es, _ in blocks]
+    exps = sorted(set().union(*keyed))
+    col = {e: a for a, e in enumerate(exps)}
+    M = np.zeros((rows, len(exps)))
+    for ks, (_, V) in zip(keyed, blocks):
+        np.add.at(M[:len(V)], (slice(None), [col[k] for k in ks]), V)  # in order
+    if not np.isfinite(M).all():
+        i, a = np.argwhere(~np.isfinite(M))[0]
+        raise DomainError(f"terms must be finite, got {M[i, a]} * x^{exps[a]}")
+    live = M.any(axis=0)
+    return [e for e, on in zip(exps, live) if on], M[:, live]
+
+
+def _image(prob, exps, C, ic=False):
+    """The ``_merge`` blocks of the operator of ``prob`` on every row of C over
+    ``exps``, plus each row's constant when ``ic``.  A Caputo term sends column
+    e > 0 to e - alpha, scaled as (c * Gamma(e+1)) / Gamma(e+1-alpha) and then
+    by its coeff; the blocks come in the order terms, reaction, IC."""
+    blocks = []
+    for alpha, coeff in prob.terms:
+        if coeff == 0.0:
+            continue
+        src = [a for a, e in enumerate(exps) if e != 0.0]  # constants map to zero
+        low = [exps[a] for a in src if exps[a] < alpha]
+        if low:
+            raise DomainError(f"term x^{low[0]} under D^{alpha} leaves the nonnegative-"
+                              f"exponent representation (need exponent >= order)")
+        up = np.array([gamma(exps[a] + 1.0) for a in src])
+        down = np.array([gamma(exps[a] + 1.0 - alpha) for a in src])
+        blocks.append(([exps[a] - alpha for a in src], coeff * (C[:, src] * up / down)))
+    if prob.reaction != 0.0:
+        blocks.append((exps, prob.reaction * C))
+    if ic:
+        blocks.append((exps[:1], C[:, :1]))  # a ladder's first column is x^0
+    return blocks
+
+
 def caputo_derivative(p, alpha):
     """Termwise Caputo power rule of order alpha in (0, 1).
 
@@ -122,17 +157,7 @@ def caputo_derivative(p, alpha):
     """
     if not 0 < alpha < 1:
         raise DomainError(f"Caputo order must lie in (0, 1), got {alpha}")
-    out = []
-    for c, e in p.coeff_pairs:
-        if e == 0.0:
-            continue
-        if e < alpha:
-            raise DomainError(
-                f"term x^{e} under D^{alpha} leaves the nonnegative-exponent "
-                f"representation (need exponent >= order)"
-            )
-        out.append((c * gamma(e + 1.0) / gamma(e + 1.0 - alpha), e - alpha))
-    return FracFunction.from_terms(out)
+    return apply_operator(FdeProblem(terms=((alpha, 1.0),)), p)
 
 
 @dataclass(frozen=True)
@@ -168,25 +193,16 @@ class FdeProblem:
 
 def apply_operator(prob, p):
     """sum_m coeff_m D^(alpha_m) p + reaction * p (rhs and IC not included)."""
-    parts = []
-    for alpha, coeff in prob.terms:
-        if coeff != 0.0:
-            parts.extend(caputo_derivative(p, alpha).scaled(coeff).coeff_pairs)
-    if prob.reaction != 0.0:
-        parts.extend(p.scaled(prob.reaction).coeff_pairs)
-    return FracFunction.from_terms(parts)
+    exps, M = _merge(1, _image(prob, [e for e, _ in p.terms],
+                               np.array([[c for _, c in p.terms]], dtype=float)))
+    return FracFunction(tuple(zip(exps, M[0].tolist())))
 
 
-def _lattice(hs):
-    """(col, Q, W, L): the shared exponent lattice of the functions ``hs``.
-
-    The sorted exponents are e_a = P_a / Q exactly (Q the largest
-    power-of-two denominator; ``col`` maps each exponent to its index a), so
-    1/(e_a + e_b + 1) = Q / s_ab with s_ab = P_a + P_b + Q.  L is the lcm of
-    the distinct sums and W_ab = L // s_ab, as Python ints.
-    """
-    exps = sorted({e for h in hs for e, _ in h.terms})
-    col = {e: a for a, e in enumerate(exps)}
+def _lattice(exps):
+    """(Q, W, L): the kernel 1/(e_a + e_b + 1) on the sorted ``exps`` in ints.
+    With e_a = P_a / Q exactly (Q the largest power-of-two denominator) it is
+    Q / s_ab, s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
+    W_ab = L // s_ab."""
     ratios = [e.as_integer_ratio() for e in exps]
     Q = max((q for _, q in ratios), default=1)
     P = np.array([p * (Q // q) for p, q in ratios], dtype=object)
@@ -195,97 +211,77 @@ def _lattice(hs):
     L = math.lcm(*distinct)
     weight = {s: L // s for s in distinct}
     W = np.array([weight[s] for s in sums.flat], dtype=object).reshape(sums.shape)
-    return col, Q, W, L
+    return Q, W, L
 
 
-def _exact_gram(fs, gs, lattice=None):
-    """(N, D) with <f_i, g_j> over [0, 1] exactly N[i, j] / D: N an object
-    array of Python ints, D one int, neither reduced.
-
-    Every function is written over one ``_lattice`` (built from fs and gs
-    unless a lattice covering all their exponents is passed).  With the
-    coefficients scaled to integers over one power of two per side (Sf, Sg),
-    the whole matrix is the integer product Q * (Mf W Mg^T) / (L Sf Sg).  A
-    larger lattice changes N and D but not the rational N / D, so any
-    correctly rounded division of them gives the same float.
-    """
-    col, Q, W, L = _lattice([*fs, *gs]) if lattice is None else lattice
-
-    def integer_coeffs(hs):
-        S = max((c.as_integer_ratio()[1] for h in hs for _, c in h.terms), default=1)
-        M = np.zeros((len(hs), len(col)), dtype=object)
-        for i, h in enumerate(hs):
-            for e, c in h.terms:
-                p, q = c.as_integer_ratio()
-                M[i, col[e]] = p * (S // q)
-        return M, S
-
-    Mf, Sf = integer_coeffs(fs)
-    Mg, Sg = integer_coeffs(gs)
-    return Q * (Mf @ W @ Mg.T), L * Sf * Sg
+def _exact_gram(A, lattice):
+    """(N, D) with <a_i, a_j> over [0, 1] exactly N[i, j] / D for the rows of
+    A over a ``_lattice``: A = Z / K in dyadic ints, N = Q * (Z W Z^T), D = L K^2.
+    Extra exponents (zero columns) change N and D but not the rational N / D."""
+    Q, W, L = lattice
+    Z, K = _dyadic(A)
+    return Q * (Z @ W @ Z.T), L * K * K
 
 
 def _basis(lam, n, kind):
-    if kind == "monomial":
-        return [FracFunction(((_key(i * lam), 1.0),)) for i in range(n + 1)]
+    """(exps, C): the ladder exponents and one coefficient row per rung."""
+    if kind not in ("monomial", "muntz_legendre"):
+        raise DomainError(f"unknown basis kind {kind!r}")
+    C = np.eye(n + 1)
     if kind == "muntz_legendre":
-        return [FracFunction.from_fracpoly(muntz_legendre_coeffs(i, lam))
-                for i in range(n + 1)]
-    raise DomainError(f"unknown basis kind {kind!r}")
+        for i in range(n + 1):
+            C[i, :i + 1] = muntz_legendre_coeffs(i, lam).coeffs
+    return _merge(n + 1, [([i * lam for i in range(n + 1)], C)])
 
 
 def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
     """Minimize the integrated squared residual over the degree-n ladder.
 
-    Returns a FitResult whose ``error`` is the value of the residual
-    functional at the minimizer and whose coefficients express the
-    approximate solution in the chosen basis.
-
+    Returns a FitResult whose ``error`` is the residual functional at the
+    minimizer and whose coefficients express the solution in the chosen basis.
     With a FracFunction right-hand side and no explicit rule, all normal-
     equation entries are exact rational moments (interval [0, 1] only);
     otherwise the quadrature rule samples the residual and ``lsq``'s float
-    least-squares core solves and scores it.  Either route raises
-    DegeneracyError when its normal equations are singular.
+    core solves and scores it.  Either route raises DegeneracyError when its
+    normal equations are singular.
     """
     check_lambda(lam)
     n = check_degree(n, MAX_FDE_SIZE - 1)
     if prob.rhs is None:
         raise DomainError("problem has no right-hand side")
 
-    phis = _basis(lam, n, basis_kind)
-    # psi_i = L[phi_i] + phi_i(0): the operator image plus the IC constant
-    psis = [apply_operator(prob, phi) + FracFunction.from_terms([(phi.at_zero(), 0.0)])
-            for phi in phis]
+    # blocks of Psi[i] = L[phi_i] + phi_i(0): each rung's image plus its IC constant
+    blocks = _image(prob, *_basis(lam, n, basis_kind), ic=True)
 
-    exact_ok = isinstance(prob.rhs, FracFunction) and rule is None and prob.hi == 1.0
     try:
-        if exact_ok:
-            F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
-            # one lattice serves [G | d] and the residual, whose exponents
-            # are all psi or F exponents
-            lattice = _lattice(psis + [F])
-            # the augmented system [G | d] as integers over one denominator
-            N, D = _exact_gram(psis, psis + [F], lattice)
-            Gd = (N / D).astype(float)
+        if isinstance(prob.rhs, FracFunction) and rule is None and prob.hi == 1.0:
+            # A = [Psi; F], F = rhs + y0, on one lattice that also scores the residual
+            Fe, Fc = zip(*prob.rhs.terms, (0.0, prob.initial_value))
+            exps, A = _merge(n + 2, [*blocks, (Fe, np.vstack([np.zeros((n + 1, len(Fc))), Fc]))])
+            lattice = _lattice(exps)
+            N, D = _exact_gram(A, lattice)
+            Gd = (N[:-1] / D).astype(float)
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
-            coeffs, cond = solve_normal_equations(Gd[:, :-1], Gd[:, -1], (N, D),
+            coeffs, cond = solve_normal_equations(Gd[:, :-1], Gd[:, -1], (N[:-1], D),
                                                   allow_semidefinite=True)
-            resid = FracFunction.from_terms(
-                [(a * c, e) for a, psi in zip(coeffs, psis) for c, e in psi.coeff_pairs]
-                + [(-c, e) for c, e in F.coeff_pairs]
-            )
-            N, D = _exact_gram([resid], [resid], lattice)
+            # r = sum_i a_i Psi_i - F in rung order; a matmul would round differently
+            r = sum((a * psi for a, psi in zip(coeffs, A)), np.zeros(len(exps))) - A[-1]
+            N, D = _exact_gram(r[None], lattice)
             error = N[0, 0] / D
         else:
+            exps, Psi = _merge(n + 1, blocks)
             if rule is None:
                 # the x^step substitution makes the residual integrands exactly
                 # polynomial when the operator images share an exponent step
-                exps = {e for psi in psis for e, _ in psi.terms}
                 rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
-            w = rule.weights
-            fvals = quad.sample(prob.rhs, rule.nodes) + prob.initial_value
-            M = np.column_stack([psi(rule.nodes) for psi in psis])
+            x, w = rule.nodes, rule.weights
+            fvals = quad.sample(prob.rhs, x) + prob.initial_value
+            # Psi's rows at the nodes, summed as FracFunction.__call__ sums
+            M = np.zeros((len(x), n + 1))
+            for e, psi in zip(exps, Psi.T):
+                nz = psi != 0
+                M[:, nz] += np.multiply.outer(x**e, psi[nz])
             coeffs, cond, fitted = _normal_solve((M * w[:, None]).T @ M, M, fvals, w,
                                                  allow_semidefinite=True)
             error = _sse(fvals, fitted, w)

@@ -48,9 +48,9 @@ def condition_estimate(A):
 
 def _dyadic(v):
     """Float array v as (ints, K) with v == ints / K exactly: K is the
-    largest power-of-two denominator of the entries."""
+    largest power-of-two denominator of the entries (1 when there are none)."""
     ratios = [t.as_integer_ratio() for t in v.ravel().tolist()]
-    K = max(q for _, q in ratios)
+    K = max((q for _, q in ratios), default=1)
     return np.array([p * (K // q) for p, q in ratios], dtype=object).reshape(v.shape), K
 
 
@@ -122,15 +122,18 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
 
     N, D = _dyadic(np.column_stack([A, b])) if exact is None else exact
     best_x, best_rnorm = x, float("inf")
-    for _ in range(_MAX_REFINE):
-        r = _residual(N, D, x)
-        rnorm = math.sqrt(r @ r)  # np.linalg.norm's own arithmetic for 1-d r
-        if rnorm < best_rnorm:
-            best_x, best_rnorm = x, rnorm
-        if not r.any():
-            break
-        x_next = x + d * solve_scaled(r * d)
-        if not np.isfinite(x_next).all() or (x_next == x).all():
-            break
-        x = x_next
+    with np.errstate(over="ignore"):  # the loop handles the inf an overflow leaves
+        for _ in range(_MAX_REFINE):
+            r = _residual(N, D, x)
+            rnorm = math.sqrt(r @ r)  # np.linalg.norm's own arithmetic for 1-d r
+            if rnorm == math.inf:  # entries past sqrt(float max): rescale by the largest
+                rnorm = (s := np.abs(r).max()) * math.sqrt((r / s) @ (r / s))
+            if rnorm < best_rnorm:
+                best_x, best_rnorm = x, rnorm
+            if not r.any():
+                break
+            x_next = x + d * solve_scaled(r * d)
+            if not np.isfinite(x_next).all() or (x_next == x).all():
+                break
+            x = x_next
     return best_x, cond

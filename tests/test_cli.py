@@ -741,6 +741,18 @@ def test_price_power_table_overflow_is_one_error_line(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_price_near_the_power_table_bound_runs_under_warnings_as_errors(tmp_path):
+    # the regression's refinement residuals pass sqrt(float max) here, so their
+    # sum of squares overflows unless it is rescaled
+    proc = _python(
+        ["-W", "error", "-m", "fraclsq", "price", "--s0", "1.4e38", "--strike", "1.5e38",
+         "--horizon", "0.5", "--steps", "4", "--paths", "100", "--lambda", "2",
+         "--sigma=0.2", "--rate=0"], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)  # one JSON document and nothing else
+    assert doc["job"] == "price" and math.isfinite(doc["price"])
+
+
 #: run in a fresh interpreter: the paths that build no Gauss-Jacobi rule,
 #: then one Jacobi rule; prints whether scipy was loaded before and after it
 _COLD_START = """

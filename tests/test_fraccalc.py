@@ -18,7 +18,7 @@ from fraclsq import (
     substituted_rule,
 )
 from fraclsq import fraccalc
-from fraclsq.fraccalc import _exact_gram
+from fraclsq.fraccalc import _exact_gram, _lattice
 from fraclsq.functions import multi_term_problem, single_term_problem
 
 
@@ -176,26 +176,16 @@ def test_residual_quadraticity():
     lam, n = 1.0, 4
     fit = solve_fde(prob, lam, n, basis_kind="muntz_legendre")
     rule = substituted_rule(96, 0.25)
-    prob_q = FdeProblem(terms=prob.terms, reaction=prob.reaction,
-                        rhs=lambda x: prob.rhs(x))
 
-    def functional(coeffs):
-        f = solve_fde(prob_q, lam, n, basis_kind="muntz_legendre", rule=rule)
-        return f  # only used to reuse machinery shape
-
-    # direct evaluation of E at perturbed coefficients via the residual
-    from fraclsq.fraccalc import _basis, apply_operator as apply_op
-    from fraclsq import FracFunction as FF, integrate
-
-    phis = _basis(lam, n, "muntz_legendre")
-    psis = [apply_op(prob, phi) + FF.from_terms([(phi.at_zero(), 0.0)])
-            for phi in phis]
-    F = prob.rhs
+    # direct evaluation of E at perturbed coefficients: the rows of the
+    # operator-image matrix at the nodes, minus the right-hand side
+    exps, Psi = fraccalc._merge(n + 1, fraccalc._image(
+        prob, *fraccalc._basis(lam, n, "muntz_legendre"), ic=True))
+    V = rule.nodes[:, None] ** np.array(exps) @ Psi.T
+    F = prob.rhs(rule.nodes)
 
     def eval_E(a):
-        r = lambda x: sum(ai * psi(x) for ai, psi in zip(a, psis)) - F(x)
-        return integrate(rule, lambda x: np.array(
-            [r(t) ** 2 for t in np.atleast_1d(x)]))
+        return float(rule.weights @ (V @ a - F) ** 2)
 
     e_star = eval_E(fit.coeffs)
     rng = np.random.default_rng(42)
@@ -317,6 +307,24 @@ def _random_functions(rng, count, exponents):
     return out
 
 
+def _matrix(fs, exps=None):
+    """(exps, A): the functions as coefficient rows over the sorted union of
+    their exponents, or over the given ``exps``."""
+    exps = sorted({e for f in fs for e, _ in f.terms}) if exps is None else exps
+    A = np.zeros((len(fs), len(exps)))
+    for i, f in enumerate(fs):
+        for e, c in f.terms:
+            A[i, exps.index(e)] = c
+    return exps, A
+
+
+def _gram(fs, gs):
+    """(N, D) of <f_i, g_j>: the block of the exact Gram matrix of fs and gs."""
+    exps, A = _matrix([*fs, *gs])
+    N, D = _exact_gram(A, _lattice(exps))
+    return N[:len(fs), len(fs):], D
+
+
 def _as_fractions(gram):
     """(N, D) as the matrix of Fractions N[i, j] / D; checks the form."""
     N, D = gram
@@ -334,23 +342,24 @@ def test_exact_gram_equals_pairwise_fractions(exponents):
     rng = np.random.default_rng(int(1000 * sum(exponents)))
     fs = _random_functions(rng, 5, exponents)
     gs = _random_functions(rng, 3, exponents) + [FracFunction(())]
-    got = _as_fractions(_exact_gram(fs, gs))
+    got = _as_fractions(_gram(fs, gs))
     assert got == _pairwise_gram(fs, gs)
     assert [row[-1] for row in got] == [0] * 5
 
 
 def test_exact_gram_of_empty_functions_is_zero():
     empty = FracFunction(())
-    assert _as_fractions(_exact_gram([empty], [empty])) == [[0]]
-    assert _as_fractions(_exact_gram([empty, empty],
-                                     [FracFunction.from_terms([(2.0, 0.3)])])) == [[0], [0]]
-    assert _exact_gram([], [empty])[0].shape == (0, 1)
+    assert _as_fractions(_gram([empty], [empty])) == [[0]]
+    assert _as_fractions(_gram([empty, empty],
+                               [FracFunction.from_terms([(2.0, 0.3)])])) == [[0], [0]]
+    # no rows at all, and rows over no exponents
+    assert _exact_gram(np.zeros((0, 2)), _lattice([0.0, 0.5]))[0].shape == (0, 0)
+    assert _as_fractions(_exact_gram(np.zeros((2, 0)), _lattice([]))) == [[0, 0], [0, 0]]
 
 
 def test_exact_gram_of_constant_and_power():
-    one = FracFunction.from_terms([(1.0, 0.0)])
-    x = FracFunction.from_terms([(1.0, 1.0)])
-    assert _as_fractions(_exact_gram([one, x], [one, x])) == [
+    # the rows 1 and x over the exponents 0 and 1
+    assert _as_fractions(_exact_gram(np.eye(2), _lattice([0.0, 1.0]))) == [
         [1, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
 
 
@@ -358,17 +367,27 @@ def test_exact_gram_on_a_larger_lattice_is_the_same_rational():
     rng = np.random.default_rng(5)
     fs = _random_functions(rng, 4, [0.0, 0.3, 0.7, 1.1])
     gs = _random_functions(rng, 2, [0.25, 0.7, 2.45])
-    extra = FracFunction.from_terms([(1.0, 0.125), (1.0, 3.65)])
-    got = _as_fractions(_exact_gram(fs, gs, fraccalc._lattice([*fs, *gs, extra])))
-    assert got == _as_fractions(_exact_gram(fs, gs)) == _pairwise_gram(fs, gs)
+    exps, A = _matrix([*fs, *gs])
+    wide, B = _matrix([*fs, *gs], sorted([*exps, 0.125, 3.65]))  # two zero columns
+    got = _as_fractions(_exact_gram(B, _lattice(wide)))
+    assert got == _as_fractions(_exact_gram(A, _lattice(exps)))
+    assert got == _pairwise_gram([*fs, *gs], [*fs, *gs])
+
+
+def _rung_images(prob, lam, n, kind):
+    """(psis, F): each rung's operator image plus its IC constant, and rhs +
+    y0, built one FracFunction at a time with ``from_terms`` merges."""
+    exps, C = fraccalc._basis(lam, n, kind)
+    phis = [FracFunction(tuple((e, c) for e, c in zip(exps, row) if c != 0.0))
+            for row in C.tolist()]
+    psis = [apply_operator(prob, phi) + FracFunction.from_terms([(phi.at_zero(), 0.0)])
+            for phi in phis]
+    return psis, prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
 
 
 def _exact_residual(prob, fit, n):
     """The residual solve_fde scores, rebuilt from the fit's coefficients."""
-    phis = fraccalc._basis(fit.lam, n, fit.basis)
-    psis = [apply_operator(prob, phi) + FracFunction.from_terms([(phi.at_zero(), 0.0)])
-            for phi in phis]
-    F = prob.rhs + FracFunction.from_terms([(prob.initial_value, 0.0)])
+    psis, F = _rung_images(prob, fit.lam, n, fit.basis)
     return FracFunction.from_terms(
         [(a * c, e) for a, psi in zip(fit.coeffs, psis) for c, e in psi.coeff_pairs]
         + [(-c, e) for c, e in F.coeff_pairs])
@@ -384,7 +403,7 @@ def test_exact_error_is_the_pairwise_fraction_residual_norm(problem, lam, n, kin
     fit = solve_fde(problem, lam, n, kind)
     resid = _exact_residual(problem, fit, n)
     assert fit.error == float(_pairwise_gram([resid], [resid])[0][0])
-    N, D = _exact_gram([resid], [resid])
+    N, D = _gram([resid], [resid])
     assert fit.error == N[0, 0] / D
 
 
@@ -392,16 +411,50 @@ def test_exact_solve_builds_one_lattice(monkeypatch):
     calls = []
     lattice = fraccalc._lattice
 
-    def spy(hs):
-        calls.append(len(hs))
-        return lattice(hs)
+    def spy(exps):
+        calls.append(list(exps))
+        return lattice(exps)
 
     monkeypatch.setattr(fraccalc, "_lattice", spy)
     prob, _ = multi_term_problem()
     for kind in ("monomial", "muntz_legendre"):
         calls.clear()
         solve_fde(prob, 0.75, 6, kind)
-        assert calls == [8]  # the seven operator images and the right-hand side
+        # one lattice: the exponents of the seven operator images and the rhs
+        psis, F = _rung_images(prob, 0.75, 6, kind)
+        assert calls == [sorted({e for h in [*psis, F] for e, _ in h.terms})]
+
+
+@pytest.mark.parametrize("kind", ["monomial", "muntz_legendre"])
+@pytest.mark.parametrize("case", ["multi_term", "offpool", "reaction_ic"])
+def test_images_match_rung_by_rung_fracfunction_arithmetic(case, kind):
+    # the column map gives every rung's image in one matrix, with the floats
+    # of one apply_operator call and one from_terms merge per rung
+    prob, lam = {"multi_term": (multi_term_problem()[0], 0.75),
+                 "offpool": (_offpool_problem(), 0.7),
+                 "reaction_ic": (_manufactured(((0.3, 2.0), (0.6, -0.5)), -0.4,
+                                               [(1.5, 0.0), (1.0, 1.6)]), 0.8)}[case]
+    exps, Psi = fraccalc._merge(15, fraccalc._image(prob, *fraccalc._basis(lam, 14, kind),
+                                                    ic=True))
+    psis, _ = _rung_images(prob, lam, 14, kind)
+    got = [[(e.hex(), c.hex()) for e, c in zip(exps, row) if c != 0.0]
+           for row in Psi.tolist()]
+    assert got == [[(e.hex(), c.hex()) for e, c in psi.terms] for psi in psis]
+
+
+@pytest.mark.parametrize("kind", ["monomial", "muntz_legendre"])
+def test_exact_solve_merges_no_fracfunction(monkeypatch, kind):
+    prob = _offpool_problem()
+    calls = []
+    from_terms = FracFunction.from_terms.__func__
+
+    def spy(cls, pairs):
+        calls.append(cls)
+        return from_terms(cls, pairs)
+
+    monkeypatch.setattr(FracFunction, "from_terms", classmethod(spy))
+    fit = solve_fde(prob, 0.7, 14, kind)
+    assert calls == [] and fit.error < 1e-12
 
 
 def _offpool_problem():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_semidefinite_fde_system_residuals_match_fraction_loop(monkeypatch):
     G, d, exact = _exact_system(monkeypatch, prob, 0.5, 3)
     assert np.linalg.matrix_rank(G) < len(d)
     _check_against_fractions(monkeypatch, G, d, exact, allow_semidefinite=True)
+
+
+def test_residual_norm_past_sqrt_float_max_still_picks_the_best_iterate(monkeypatch):
+    # scaled by 2**600 the Hilbert system's residuals pass sqrt(float max), so
+    # their sum of squares overflows (a RuntimeWarning, an error under the
+    # test settings); a power-of-two scale moves no bit of the answer
+    n = 8
+    A = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+    b = A @ np.linspace(1.0, 2.0, n)
+    want, _ = _solver_steps(monkeypatch, A, b)
+    got, seen = _solver_steps(monkeypatch, 2.0**600 * A, 2.0**600 * b)
+    assert max(np.abs(r).max() for _, r in seen) > math.sqrt(np.finfo(float).max)
+    assert _bits(got) == _bits(want)
+    assert _bits(got) != _bits(seen[0][0])  # the best iterate is not the first
 
 
 def test_exact_residual_of_fractions_and_floats():
