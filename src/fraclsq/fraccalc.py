@@ -13,15 +13,17 @@ float coefficient matrices over sorted keyed exponents (``_merge``): the
 basis is one, and the operator is a column map on it (``_image``) whose
 blocks sum to the images Psi of all rungs at once; ``caputo_derivative`` and
 ``apply_operator`` are that map on one row.  With a power-sum right-hand
-side F on [0, 1], the Gram matrix of [Psi; F] is one integer product over one
-exponent lattice (``_lattice``, ``_exact_gram``), kept exact through every
-refinement residual, so a solution in the basis span is recovered to the
-last bit and the error is the exact integral of the squared residual row.
+side F on [0, 1], the Gram matrix of [Psi; F] is an integer form over one
+exponent lattice, summed on sparse int rows (``_lattice``, ``_exact_gram``),
+kept exact through every refinement residual, so a solution in the basis
+span is recovered to the last bit and the error is the exact integral of
+the squared residual row.
 Otherwise a quadrature rule samples the rows of Psi for ``lsq``'s float core.
 """
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Union
 
 import numpy as np
@@ -77,10 +79,6 @@ class FracFunction:
             acc[e] = acc.get(e, 0.0) + float(c)
         return cls(tuple(sorted((e, c) for e, c in acc.items() if c != 0.0)))
 
-    @classmethod
-    def from_fracpoly(cls, p):
-        return cls.from_terms((c, i * p.lam) for i, c in enumerate(p.coeffs))
-
     @property
     def coeff_pairs(self):
         """Terms as (coefficient, exponent) pairs."""
@@ -134,7 +132,7 @@ def _image(prob, exps, C, ic=False):
         if coeff == 0.0:
             continue
         src = [a for a, e in enumerate(exps) if e != 0.0]  # constants map to zero
-        low = [exps[a] for a in src if exps[a] < alpha]
+        low = [exps[a] for a in src if _key(exps[a] - alpha) < 0]  # keyed as _merge keys it
         if low:
             raise DomainError(f"term x^{low[0]} under D^{alpha} leaves the nonnegative-"
                               f"exponent representation (need exponent >= order)")
@@ -153,7 +151,8 @@ def caputo_derivative(p, alpha):
 
     x^nu maps to Gamma(nu+1)/Gamma(nu+1-alpha) x^(nu-alpha) for nu > 0 and
     constants map to zero.  Exponents in (0, alpha) would leave the
-    nonnegative-exponent representation and are rejected.
+    nonnegative-exponent representation and are rejected, unless the
+    12-decimal exponent keying puts nu - alpha at 0.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"Caputo order must lie in (0, 1), got {alpha}")
@@ -202,25 +201,34 @@ def _lattice(exps):
     """(Q, W, L): the kernel 1/(e_a + e_b + 1) on the sorted ``exps`` in ints.
     With e_a = P_a / Q exactly (Q the largest power-of-two denominator) it is
     Q / s_ab, s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
-    W_ab = L // s_ab."""
+    W[a][b] = L // s_ab, in lists of Python ints."""
     ratios = [e.as_integer_ratio() for e in exps]
     Q = max((q for _, q in ratios), default=1)
-    P = np.array([p * (Q // q) for p, q in ratios], dtype=object)
-    sums = P[:, None] + P[None, :] + Q
-    distinct = set(sums.flat)
+    P = [p * (Q // q) for p, q in ratios]
+    sums = [[a + b + Q for b in P] for a in P]
+    distinct = set().union(*sums)
     L = math.lcm(*distinct)
     weight = {s: L // s for s in distinct}
-    W = np.array([weight[s] for s in sums.flat], dtype=object).reshape(sums.shape)
-    return Q, W, L
+    return Q, [list(map(weight.__getitem__, row)) for row in sums], L
 
 
 def _exact_gram(A, lattice):
-    """(N, D) with <a_i, a_j> over [0, 1] exactly N[i, j] / D for the rows of
-    A over a ``_lattice``: A = Z / K in dyadic ints, N = Q * (Z W Z^T), D = L K^2.
+    """(N, D) with <a_i, a_j> over [0, 1] exactly N[i][j] / D for the rows of
+    A over a ``_lattice``: A = Z / K in dyadic ints, N = Q * (Z W Z^T) in int
+    rows, D = L K^2.  Only the nonzeros of Z enter, and only j <= i is summed:
+    M_i = Z_i W on the columns rows 0..i use, N_ij = Q * M_i Z_j^T.
     Extra exponents (zero columns) change N and D but not the rational N / D."""
     Q, W, L = lattice
     Z, K = _dyadic(A)
-    return Q * (Z @ W @ Z.T), L * K * K
+    rows = [([a for a, z in enumerate(row) if z], [z for z in row if z]) for row in Z]
+    N = [[0] * len(rows) for _ in rows]
+    cols = set()
+    for i, (ai, zi) in enumerate(rows):
+        cols.update(ai)
+        M = {b: sum(map(mul, map(W[b].__getitem__, ai), zi)) for b in cols}  # W = W^T
+        for j, (aj, zj) in enumerate(rows[:i + 1]):
+            N[i][j] = N[j][i] = Q * sum(map(mul, map(M.__getitem__, aj), zj))
+    return N, L * K * K
 
 
 def _basis(lam, n, kind):
@@ -260,7 +268,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
             exps, A = _merge(n + 2, [*blocks, (Fe, np.vstack([np.zeros((n + 1, len(Fc))), Fc]))])
             lattice = _lattice(exps)
             N, D = _exact_gram(A, lattice)
-            Gd = (N[:-1] / D).astype(float)
+            Gd = np.array([[v / D for v in row] for row in N[:-1]])
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
             coeffs, cond = solve_normal_equations(Gd[:, :-1], Gd[:, -1], (N[:-1], D),
@@ -268,7 +276,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
             # r = sum_i a_i Psi_i - F in rung order; a matmul would round differently
             r = sum((a * psi for a, psi in zip(coeffs, A)), np.zeros(len(exps))) - A[-1]
             N, D = _exact_gram(r[None], lattice)
-            error = N[0, 0] / D
+            error = N[0][0] / D
         else:
             exps, Psi = _merge(n + 1, blocks)
             if rule is None:

@@ -7,10 +7,10 @@ the solve is made stability-aware in two cheap ways:
   the scale disparity of mixed-exponent moment sums;
 * iterative refinement with exact residuals, which drives the forward
   error of the returned solution to the last bit whenever eps * cond(A) < 1.
-  The augmented system [A | b] is held as integers over one denominator
-  (given by the caller, or read off the float entries), so each residual is
-  one integer matrix-vector product and one correctly rounded division per
-  entry.
+  The augmented system [A | b] is held as rows of Python ints over one
+  denominator (given by the caller, or read off the float entries), so each
+  residual entry is one integer dot product and one correctly rounded
+  division.
 
 The reported condition estimate always refers to the raw, un-equilibrated
 matrix: it is the diagnostic the caller uses to compare basis choices.
@@ -23,6 +23,7 @@ directly.
 """
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -47,25 +48,28 @@ def condition_estimate(A):
 
 
 def _dyadic(v):
-    """Float array v as (ints, K) with v == ints / K exactly: K is the
-    largest power-of-two denominator of the entries (1 when there are none)."""
-    ratios = [t.as_integer_ratio() for t in v.ravel().tolist()]
-    K = max((q for _, q in ratios), default=1)
-    return np.array([p * (K // q) for p, q in ratios], dtype=object).reshape(v.shape), K
+    """2-d float array v as (rows, K) with v == rows / K exactly: ``rows`` are
+    lists of Python ints and K is the largest power-of-two denominator of the
+    entries (1 when there are none)."""
+    ratios = [[t.as_integer_ratio() for t in row] for row in v.tolist()]
+    K = max((q for row in ratios for _, q in row), default=1)
+    return [[p * (K // q) for p, q in row] for row in ratios], K
 
 
 def _residual(N, D, x):
-    """b - A x for the augmented system [A | b] = N / D, exact and then
-    correctly rounded: with x = X / K, r = (K N[:, -1] - N[:, :-1] X) / (D K)."""
-    X, K = _dyadic(x)
-    return ((K * N[:, -1] - N[:, :-1] @ X) / (D * K)).astype(float)
+    """b - A x for the augmented system [A | b] = N / D given as int rows, exact
+    and then correctly rounded: with x = X / K, r_i = (K N_i,-1 - N_i X) / (D K)."""
+    (X,), K = _dyadic(x[None])
+    DK = D * K
+    # map stops at the end of X, so the sum leaves out each row's last entry
+    return np.array([(K * row[-1] - sum(map(mul, row, X))) / DK for row in N])
 
 
 def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
     """Solve A x = b and return (x, cond) with cond = cond_2 of raw A.
 
     ``exact`` optionally supplies the augmented system [A | b] in exact form
-    (N, D): an object array of Python ints and one int, [A | b] = N / D.
+    (N, D): rows of Python ints and one int, [A | b] = N / D.
     Refinement residuals are computed against it, so a float solution of an
     exactly-assembled system converges to its correctly rounded answer.
     When omitted, the float entries are taken as exact.

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fraclsq import (
     DegeneracyError,
@@ -68,6 +70,15 @@ def test_caputo_domain_errors():
         caputo_derivative(p, 1.0)
     with pytest.raises(DomainError):
         caputo_derivative(FracFunction.from_terms([(1.0, 0.3)]), 0.5)
+
+
+def test_caputo_of_an_exponent_keyed_just_below_the_order():
+    # the 12-decimal keying rounds the exponent a to 0.558262118682, 4e-13
+    # below the order; the image exponent keys to 0, so D^a x^a = Gamma(a+1)
+    a = 0.5582621186824
+    (e, c), = caputo_derivative(FracFunction.from_terms([(1.0, a)]), a).terms
+    assert e == 0.0
+    assert c == pytest.approx(gamma(a + 1.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +333,15 @@ def _gram(fs, gs):
     """(N, D) of <f_i, g_j>: the block of the exact Gram matrix of fs and gs."""
     exps, A = _matrix([*fs, *gs])
     N, D = _exact_gram(A, _lattice(exps))
-    return N[:len(fs), len(fs):], D
+    return [row[len(fs):] for row in N[:len(fs)]], D
 
 
 def _as_fractions(gram):
-    """(N, D) as the matrix of Fractions N[i, j] / D; checks the form."""
+    """(N, D) as the matrix of Fractions N[i][j] / D; checks the form."""
     N, D = gram
     assert type(D) is int and D > 0
-    assert all(type(v) is int for v in N.flat)
-    return [[Fraction(int(v), D) for v in row] for row in N.tolist()]
+    assert all(type(v) is int for row in N for v in row)
+    return [[Fraction(v, D) for v in row] for row in N]
 
 
 @pytest.mark.parametrize("exponents", [
@@ -353,7 +364,7 @@ def test_exact_gram_of_empty_functions_is_zero():
     assert _as_fractions(_gram([empty, empty],
                                [FracFunction.from_terms([(2.0, 0.3)])])) == [[0], [0]]
     # no rows at all, and rows over no exponents
-    assert _exact_gram(np.zeros((0, 2)), _lattice([0.0, 0.5]))[0].shape == (0, 0)
+    assert _exact_gram(np.zeros((0, 2)), _lattice([0.0, 0.5]))[0] == []
     assert _as_fractions(_exact_gram(np.zeros((2, 0)), _lattice([]))) == [[0, 0], [0, 0]]
 
 
@@ -372,6 +383,42 @@ def test_exact_gram_on_a_larger_lattice_is_the_same_rational():
     got = _as_fractions(_exact_gram(B, _lattice(wide)))
     assert got == _as_fractions(_exact_gram(A, _lattice(exps)))
     assert got == _pairwise_gram([*fs, *gs], [*fs, *gs])
+
+
+_DYADIC_EXPONENTS = st.integers(min_value=0, max_value=6 * 64).map(lambda k: k / 64)
+_ANY_EXPONENTS = st.floats(min_value=0.0, max_value=6.0)
+_ENTRIES = st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+                     st.integers(min_value=-60, max_value=60))
+
+
+@st.composite
+def _lattice_rows(draw):
+    """(exps, A): up to five rows over a sorted exponent lattice, dyadic or
+    not; each row all-zero, sparse or dense, and now and then a zero column."""
+    exps = sorted(set(draw(st.lists(draw(st.sampled_from([_DYADIC_EXPONENTS, _ANY_EXPONENTS])),
+                                    min_size=1, max_size=8))))
+    A = np.zeros((draw(st.integers(min_value=1, max_value=5)), len(exps)))
+    for row in A:
+        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        for a in range(len(exps)):
+            if kind == "dense" or kind == "sparse" and draw(st.booleans()):
+                row[a] = draw(_ENTRIES)
+    A[:, draw(st.lists(st.integers(min_value=0, max_value=len(exps) - 1), max_size=2))] = 0.0
+    return exps, A
+
+
+def _fraction_gram(exps, A):
+    """<a_i, a_j> over [0, 1] summed entry pair by entry pair in Fractions."""
+    E = [Fraction(e) for e in exps]
+    R = [[(E[a], Fraction(v)) for a, v in enumerate(row) if v] for row in A.tolist()]
+    return [[sum((u * v / (e + f + 1) for e, u in r for f, v in t), Fraction(0)) for t in R]
+            for r in R]
+
+
+@given(_lattice_rows())
+def test_exact_gram_equals_the_fraction_gram_on_random_lattices(case):
+    exps, A = case
+    assert _as_fractions(_exact_gram(A, _lattice(exps))) == _fraction_gram(exps, A)
 
 
 def _rung_images(prob, lam, n, kind):
@@ -404,7 +451,7 @@ def test_exact_error_is_the_pairwise_fraction_residual_norm(problem, lam, n, kin
     resid = _exact_residual(problem, fit, n)
     assert fit.error == float(_pairwise_gram([resid], [resid])[0][0])
     N, D = _gram([resid], [resid])
-    assert fit.error == N[0, 0] / D
+    assert fit.error == N[0][0] / D
 
 
 def test_exact_solve_builds_one_lattice(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fraclsq import ConditioningError
 from fraclsq import fraccalc, solvers
@@ -42,8 +43,8 @@ def _fraction_solve(A, b, exact=None, allow_semidefinite=False):
         bq = [Fraction(v) for v in b.tolist()]
     else:
         N, D = exact
-        Aq = [[Fraction(int(v), D) for v in row[:-1]] for row in N.tolist()]
-        bq = [Fraction(int(row[-1]), D) for row in N.tolist()]
+        Aq = [[Fraction(v, D) for v in row[:-1]] for row in N]
+        bq = [Fraction(row[-1], D) for row in N]
     x = solve_scaled(b * d) * d
     seen = []
     best_x, best_rnorm = x, float("inf")
@@ -147,7 +148,7 @@ def test_residual_norm_past_sqrt_float_max_still_picks_the_best_iterate(monkeypa
 
 def test_exact_residual_of_fractions_and_floats():
     # [A | b] = [[1/3, 0.5, 1/10], [0.5, 2/7, 1.0]] over the denominator 210
-    N = np.array([[70, 105, 21], [105, 60, 210]], dtype=object)
+    N = [[70, 105, 21], [105, 60, 210]]
     x = np.array([0.25, -3.0])
     want = [float(Fraction(1, 10) - Fraction(1, 3) * Fraction(0.25) - Fraction(1, 2) * -3),
             float(1 - Fraction(1, 2) * Fraction(0.25) - Fraction(2, 7) * -3)]
@@ -160,7 +161,8 @@ def test_exact_form_is_any_common_denominator(monkeypatch):
     G, d, (N, D) = _exact_system(monkeypatch, prob, 0.7, 6)
     k = 3**40 * 2**7
     want, want_seen = _solver_steps(monkeypatch, G, d, (N, D), allow_semidefinite=True)
-    got, seen = _solver_steps(monkeypatch, G, d, (k * N, k * D), allow_semidefinite=True)
+    kN = [[k * v for v in row] for row in N]
+    got, seen = _solver_steps(monkeypatch, G, d, (kN, k * D), allow_semidefinite=True)
     assert _bits(got) == _bits(want)
     assert [_bits(r) for _, r in seen] == [_bits(r) for _, r in want_seen]
     # the float path is the float entries' own dyadic form
@@ -172,6 +174,41 @@ def test_exact_form_is_any_common_denominator(monkeypatch):
     got, seen = _solver_steps(monkeypatch, A, b, dyadic)
     assert _bits(got) == _bits(want)
     assert [_bits(r) for _, r in seen] == [_bits(r) for _, r in want_seen]
+
+
+_ENTRIES = st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+                     st.integers(min_value=-60, max_value=60)) | st.just(0.0)
+
+
+@st.composite
+def _augmented_and_iterate(draw, entries):
+    """([A | b] as n rows of n + 1 ``entries``, x as n floats), n in 1..5."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    return rows, np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+
+
+def _fraction_residual(Ab, x):
+    """b - A x in Fractions, each entry rounded once."""
+    return [float(row[-1] - sum(a * Fraction(t) for a, t in zip(row, x.tolist())))
+            for row in Ab]
+
+
+@given(_augmented_and_iterate(_ENTRIES))
+def test_residual_of_float_entries_is_the_fraction_residual(case):
+    rows, x = case
+    N, D = solvers._dyadic(np.array(rows))
+    want = _fraction_residual([[Fraction(v) for v in row] for row in rows], x)
+    assert _bits(_residual(N, D, x)) == _bits(want)
+
+
+@given(_augmented_and_iterate(st.integers(min_value=-2**200, max_value=2**200)),
+       st.integers(min_value=1, max_value=2**150))
+def test_residual_of_an_exact_system_is_the_fraction_residual(case, D):
+    N, x = case
+    want = _fraction_residual([[Fraction(v, D) for v in row] for row in N], x)
+    assert _bits(_residual(N, D, x)) == _bits(want)
 
 
 @pytest.mark.parametrize("A,b", [
