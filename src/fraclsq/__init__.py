@@ -26,7 +26,6 @@ from .errors import (
 from .special import gamma, mittag_leffler
 from .fracpoly import (
     FractionalPolynomial,
-    frac_poly_eval,
     muntz_legendre_coeffs,
     muntz_legendre_eval,
 )
@@ -45,7 +44,6 @@ from .orthobasis import (
     WeightSpec,
     build_continuous,
     build_discrete,
-    inner_product,
 )
 from .lsq import (
     DataSet,
@@ -73,12 +71,10 @@ __all__ = [
     "ConditioningError", "ConvergenceError", "DegeneracyError", "DomainError",
     "FraclsqError", "RankDeficiencyError", "UsageError",
     "gamma", "mittag_leffler",
-    "FractionalPolynomial", "frac_poly_eval", "muntz_legendre_coeffs",
-    "muntz_legendre_eval",
+    "FractionalPolynomial", "muntz_legendre_coeffs", "muntz_legendre_eval",
     "QuadratureRule", "common_step", "frac_moment", "gauss_jacobi",
     "gauss_legendre", "integrate", "substituted_rule", "weighted_rule",
     "OrthogonalBasis", "WeightSpec", "build_continuous", "build_discrete",
-    "inner_product",
     "DataSet", "FitResult", "add_noise", "expand_to_monomial",
     "fit_continuous_normal", "fit_discrete_normal", "fit_projection", "predict",
     "FdeProblem", "FracFunction", "apply_operator", "caputo_derivative",

@@ -35,10 +35,6 @@ EXIT_NUMERICAL = 3
 CURVE_SAMPLES = 201
 
 
-class InputError(Exception):
-    """Invalid file, option or CSV content; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # small parsers
 # ---------------------------------------------------------------------------
@@ -47,7 +43,7 @@ def _parse_interval(text):
     try:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
-        raise InputError(f"--interval expects lo:hi, got {text!r}") from None
+        raise UsageError(f"--interval expects lo:hi, got {text!r}") from None
     return lo, hi
 
 
@@ -55,7 +51,7 @@ def _parse_floats(flag, text):
     try:
         return [float(p) for p in text.split(",") if p]
     except ValueError:
-        raise InputError(f"{flag} expects a comma-separated number list, got {text!r}") \
+        raise UsageError(f"{flag} expects a comma-separated number list, got {text!r}") \
             from None
 
 
@@ -65,23 +61,24 @@ def _parse_weight(text, lo, hi):
     if text.startswith("jacobi:"):
         parts = text.split(":")
         if len(parts) != 3:
-            raise InputError(f"--weight jacobi expects jacobi:bl:br, got {text!r}")
+            raise UsageError(f"--weight jacobi expects jacobi:bl:br, got {text!r}")
         try:
             bl, br = float(parts[1]), float(parts[2])
         except ValueError:
-            raise InputError(f"non-numeric jacobi exponents in {text!r}") from None
+            raise UsageError(f"non-numeric jacobi exponents in {text!r}") from None
         return WeightSpec.jacobi(bl, br, lo, hi)
-    raise InputError(f"unknown weight {text!r}; use unit or jacobi:bl:br")
+    raise UsageError(f"unknown weight {text!r}; use unit or jacobi:bl:br")
 
 
 def _reject_continuous_flags(args, source):
     """Data from ``source`` (--input, --points-file) fixes the weights and the
-    span of a fit or basis, so --weight and --interval may not be given."""
-    if args.weight != "unit":
-        raise InputError(f"--weight applies to continuous fits and bases, not to "
+    span of a fit or basis, so --weight and --interval may only spell their
+    defaults: the unit weight (its exponents both 0) and [0, 1]."""
+    if _parse_weight(args.weight, 0.0, 1.0) != WeightSpec.unit():
+        raise UsageError(f"--weight applies to continuous fits and bases, not to "
                          f"{source} data")
     if _parse_interval(args.interval) != (0.0, 1.0):
-        raise InputError(f"--interval applies to continuous fits and bases, not to "
+        raise UsageError(f"--interval applies to continuous fits and bases, not to "
                          f"{source} data")
 
 
@@ -99,16 +96,16 @@ def _basis(args, lam, points=None, weights=None):
 @contextlib.contextmanager
 def _text_input(path, **open_kw):
     """``path`` opened as UTF-8 text, a leading byte-order mark skipped; a
-    file that cannot be opened or decoded raises InputError naming it."""
+    file that cannot be opened or decoded raises UsageError naming it."""
     try:
         fh = open(path, encoding="utf-8-sig", **open_kw)
     except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from None
+        raise UsageError(f"cannot open {path}: {exc}") from None
     with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+            raise UsageError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
 
 
 def read_xy_csv(path):
@@ -118,16 +115,16 @@ def read_xy_csv(path):
     ``float()`` does, to the same bits.  A file it rejects, or whose column
     count misses the header, is read again by the per-row loop: it takes the
     rarer forms ``float()`` reads (quoted cells, ``1_000``, whitespace-only
-    lines) and raises InputError naming the offending row/column.
+    lines) and raises UsageError naming the offending row/column.
     """
     with _text_input(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
-            raise InputError(f"{path}: empty file") from None
+            raise UsageError(f"{path}: empty file") from None
         cols = [h.strip().lower() for h in header]
         if cols[:2] != ["x", "y"] or len(cols) > 3 or (len(cols) == 3 and cols[2] != "w"):
-            raise InputError(f"{path}: header must be x,y[,w], got {header}")
+            raise UsageError(f"{path}: header must be x,y[,w], got {header}")
         try:
             with warnings.catch_warnings():
                 # an empty body reads as shape (0, 1); the loop reports it
@@ -144,7 +141,7 @@ def read_xy_csv(path):
     try:
         return DataSet(xs, ys, ws[0] if ws else None)
     except DomainError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _read_xy_rows(fh, path, cols):
@@ -156,19 +153,19 @@ def _read_xy_rows(fh, path, cols):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(cols):
-            raise InputError(f"{path}:{lineno}: expected {len(cols)} fields, "
+            raise UsageError(f"{path}:{lineno}: expected {len(cols)} fields, "
                              f"got {len(row)}")
         vals = []
         for col, cell in zip(cols, row):
             try:
                 vals.append(float(cell))
             except ValueError:
-                raise InputError(
+                raise UsageError(
                     f"{path}:{lineno}: column {col!r} is not numeric: {cell!r}"
                 ) from None
         rows.append(vals)
     if not rows:
-        raise InputError(f"{path}: no data rows")
+        raise UsageError(f"{path}: no data rows")
     return np.array(rows)
 
 
@@ -181,10 +178,10 @@ def read_points_file(path):
             try:
                 pts.append(float(line))
             except ValueError:
-                raise InputError(f"{path}:{lineno}: point is not numeric: "
+                raise UsageError(f"{path}:{lineno}: point is not numeric: "
                                  f"{line.strip()!r}") from None
     if not pts:
-        raise InputError(f"{path}: no points")
+        raise UsageError(f"{path}: no points")
     return np.array(pts)
 
 
@@ -236,7 +233,7 @@ def cmd_fit(args):
         data = read_xy_csv(args.input)
         _reject_continuous_flags(args, "--input")
     elif not args.function:
-        raise InputError("fit needs --input CSV or --function NAME")
+        raise UsageError("fit needs --input CSV or --function NAME")
 
     for lam in lams:
         if data is not None:
@@ -250,11 +247,11 @@ def cmd_fit(args):
             if args.method == "projection":
                 fit = fit_projection(fn, _basis(args, lam))
             else:
-                if args.weight != "unit":
-                    raise InputError(
+                lo, hi = _parse_interval(args.interval)
+                if _parse_weight(args.weight, lo, hi) != WeightSpec.unit(lo, hi):
+                    raise UsageError(
                         "the continuous normal equations use the unit weight; "
                         "use --method projection for weighted fits")
-                lo, hi = _parse_interval(args.interval)
                 exps = fn.exponents + tuple(lam * i for i in range(args.degree + 1))
                 rule = quad.ladder_rule(args.quad_points, exps, lo, hi, fallback_step=lam)
                 fit = fit_continuous_normal(fn, lo, hi, lam, args.degree, rule=rule)
@@ -279,7 +276,6 @@ def cmd_fit(args):
 
 def cmd_orthpoly(args):
     lam = args.lam
-    lo, hi = _parse_interval(args.interval)
     if args.points_file:
         points = read_points_file(args.points_file)
         _reject_continuous_flags(args, "--points-file")
@@ -289,7 +285,7 @@ def cmd_orthpoly(args):
     doc = {
         "job": "orthpoly",
         "params": {"lambda": lam, "degree": args.degree, "weight": args.weight,
-                   "interval": [lo, hi], "mode": basis.mode},
+                   "interval": [basis.lo, basis.hi], "mode": basis.mode},
         "B": basis.B,
         "C": basis.C,
         "sq_norms": basis.sq_norms,
@@ -305,9 +301,9 @@ def cmd_solve_fde(args):
     coeffs = _parse_floats("--term-coeffs", args.term_coeffs) if args.term_coeffs \
         else [1.0] * len(alphas)
     if len(coeffs) != len(alphas):
-        raise InputError("--term-coeffs must match --alphas in length")
+        raise UsageError("--term-coeffs must match --alphas in length")
     prob = FdeProblem(terms=tuple(zip(alphas, coeffs)), reaction=args.reaction,
-                      rhs=rhs.frac if rhs.frac is not None else rhs.fn,
+                      rhs=rhs.fn,
                       initial_value=args.y0)
     fit = solve_fde(prob, args.lam, args.degree, basis_kind=args.basis)
     grid = np.linspace(0.0, 1.0, 11)
@@ -361,7 +357,7 @@ def cmd_reproduce(args):
     for name in kwargs:
         # name the flag, rather than fail inside the job with a TypeError
         if job is not None and name not in inspect.signature(job).parameters:
-            raise InputError(f"table {args.table.upper()} does not read --{name}")
+            raise UsageError(f"table {args.table.upper()} does not read --{name}")
     rows = run_table(args.table, **kwargs)
     for row in rows:
         print(row.format())
@@ -483,9 +479,8 @@ def main(argv=None):
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (InputError, UsageError, DomainError, KeyError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error: {msg}", file=sys.stderr)
+    except (UsageError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FraclsqError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

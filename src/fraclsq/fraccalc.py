@@ -77,6 +77,8 @@ class FracFunction:
             if e < 0:
                 raise DomainError(f"exponents must be >= 0, got {e}")
             acc[e] = acc.get(e, 0.0) + float(c)
+            if not math.isfinite(acc[e]):  # equal exponents summed past the float range
+                raise DomainError(f"terms must be finite, got {acc[e]} * x^{e}")
         return cls(tuple(sorted((e, c) for e, c in acc.items() if c != 0.0)))
 
     @property
@@ -251,12 +253,16 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
     equation entries are exact rational moments (interval [0, 1] only);
     otherwise the quadrature rule samples the residual and ``lsq``'s float
     core solves and scores it.  Either route raises DegeneracyError when its
-    normal equations are singular.
+    normal equations are singular; a zero operator (every term coefficient
+    and the reaction 0) raises DomainError.
     """
     check_lambda(lam)
     n = check_degree(n, MAX_FDE_SIZE - 1)
     if prob.rhs is None:
         raise DomainError("problem has no right-hand side")
+    if prob.reaction == 0.0 and not any(c for _, c in prob.terms):
+        raise DomainError("the operator is zero: every term coefficient and the "
+                          "reaction are 0")
 
     # blocks of Psi[i] = L[phi_i] + phi_i(0): each rung's image plus its IC constant
     blocks = _image(prob, *_basis(lam, n, basis_kind), ic=True)

@@ -19,7 +19,6 @@ from .errors import DomainError, check_abscissae, check_degree, check_lambda
 
 __all__ = [
     "FractionalPolynomial",
-    "frac_poly_eval",
     "muntz_legendre_coeffs",
     "muntz_legendre_eval",
     "muntz_legendre_rungs",
@@ -48,19 +47,15 @@ class FractionalPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return frac_poly_eval(self, x)
+        """P(x) at a scalar (a float) or an array of x >= 0."""
+        x = np.asarray(x, dtype=float)
+        check_abscissae(x, "fractional polynomial abscissae")
+        # Horner in u = x^lam; 0^lam = 0 leaves a_0 at x = 0
+        return _scalar_or_array(np.polyval(self.coeffs[::-1], x**self.lam))
 
 
 def _scalar_or_array(v):
     return float(v) if np.ndim(v) == 0 else v
-
-
-def frac_poly_eval(p, x):
-    """Evaluate P(x) = sum_i a_i x^(i*lam) at a scalar or an array of x >= 0."""
-    x = np.asarray(x, dtype=float)
-    check_abscissae(x, "fractional polynomial abscissae")
-    # Horner in u = x^lam; 0^lam = 0 leaves a_0 at x = 0
-    return _scalar_or_array(np.polyval(p.coeffs[::-1], x**p.lam))
 
 
 def muntz_legendre_coeffs(n, lam):

@@ -1,14 +1,15 @@
 """Built-in analytic test functions addressable by name from the CLI.
 
-Each entry pairs a callable with (when the function is a finite sum of
-power terms) its FracFunction form, which lets continuous-fit jobs pick a
-quadrature substitution making every integral exact.
+Each entry is a callable; a finite sum of power terms is its FracFunction,
+whose exponents let continuous-fit jobs pick a quadrature substitution
+making every integral exact.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
+from .errors import UsageError
 from .fraccalc import FdeProblem, FracFunction, apply_operator
 from .special import mittag_leffler
 
@@ -24,20 +25,19 @@ POPULATION_ORDER = 1.39
 class NamedFunction:
     name: str
     fn: Callable
-    frac: Optional[FracFunction]
     description: str
 
     def __call__(self, x):
         return self.fn(x)
 
     @property
+    def frac(self):
+        """``fn`` when it is a finite power sum (a FracFunction), else None."""
+        return self.fn if isinstance(self.fn, FracFunction) else None
+
+    @property
     def exponents(self):
         return tuple(e for e, _ in self.frac.terms) if self.frac else ()
-
-
-def _powsum(*pairs):
-    ff = FracFunction.from_terms(pairs)
-    return ff, ff  # FracFunction doubles as the callable
 
 
 def single_term_problem(alpha=0.5):
@@ -64,46 +64,32 @@ def _population_curve(x):
 
 
 def _build_registry():
-    reg = {}
-
-    ff, fn = _powsum((1.0, 0.75), (1.0, 1.5))
-    reg["x075+x15"] = NamedFunction("x075+x15", fn, ff, "x^0.75 + x^1.5")
-
-    ff, fn = _powsum((1.0, 1.5))
-    reg["x15"] = NamedFunction("x15", fn, ff, "x^1.5")
-
-    ff, fn = _powsum((-math.pi / 4, 0.0), (1.0, 0.5))
-    reg["sqrt-shift"] = NamedFunction("sqrt-shift", fn, ff, "x^0.5 - pi/4")
-
-    ff, fn = _powsum((1.0, 3.5), (1.0, 4.0))
-    reg["x35+x4"] = NamedFunction("x35+x4", fn, ff, "x^3.5 + x^4")
-
-    ff, fn = _powsum((1.0, 0.75))
-    reg["x075"] = NamedFunction("x075", fn, ff, "x^0.75")
-
-    reg["ml-population"] = NamedFunction(
-        "ml-population", _population_curve, None,
-        f"E_{POPULATION_ORDER}({POPULATION_RATE} * x^{POPULATION_ORDER})",
-    )
-
-    prob, _ = single_term_problem()
-    reg["fde-single-rhs"] = NamedFunction(
-        "fde-single-rhs", prob.rhs, prob.rhs,
-        "right-hand side of D^0.5 y = f with solution y = x")
-
-    prob, _ = multi_term_problem()
-    reg["fde-multi-rhs"] = NamedFunction(
-        "fde-multi-rhs", prob.rhs, prob.rhs,
-        "right-hand side of D^0.5 y + D^0.25 y + y = f with solution x^3.5 + x^4")
-    return reg
+    powsum = FracFunction.from_terms
+    single, _ = single_term_problem()
+    multi, _ = multi_term_problem()
+    return {f.name: f for f in (
+        NamedFunction("x075+x15", powsum([(1.0, 0.75), (1.0, 1.5)]), "x^0.75 + x^1.5"),
+        NamedFunction("x15", powsum([(1.0, 1.5)]), "x^1.5"),
+        NamedFunction("sqrt-shift", powsum([(-math.pi / 4, 0.0), (1.0, 0.5)]),
+                      "x^0.5 - pi/4"),
+        NamedFunction("x35+x4", powsum([(1.0, 3.5), (1.0, 4.0)]), "x^3.5 + x^4"),
+        NamedFunction("x075", powsum([(1.0, 0.75)]), "x^0.75"),
+        NamedFunction("ml-population", _population_curve,
+                      f"E_{POPULATION_ORDER}({POPULATION_RATE} * x^{POPULATION_ORDER})"),
+        NamedFunction("fde-single-rhs", single.rhs,
+                      "right-hand side of D^0.5 y = f with solution y = x"),
+        NamedFunction("fde-multi-rhs", multi.rhs, "right-hand side of "
+                      "D^0.5 y + D^0.25 y + y = f with solution x^3.5 + x^4"),
+    )}
 
 
 NAMED_FUNCTIONS = _build_registry()
 
 
 def lookup(name):
+    """The registered function ``name``; UsageError for an unknown name."""
     try:
         return NAMED_FUNCTIONS[name]
     except KeyError:
         known = ", ".join(sorted(NAMED_FUNCTIONS))
-        raise KeyError(f"unknown function {name!r}; known: {known}") from None
+        raise UsageError(f"unknown function {name!r}; known: {known}") from None

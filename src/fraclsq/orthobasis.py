@@ -28,8 +28,7 @@ from .errors import (DegeneracyError, DomainError, RankDeficiencyError, UsageErr
 from .fracpoly import FractionalPolynomial
 from . import quadrature as quad
 
-__all__ = ["WeightSpec", "OrthogonalBasis", "build_continuous", "build_discrete",
-           "inner_product"]
+__all__ = ["WeightSpec", "OrthogonalBasis", "build_continuous", "build_discrete"]
 
 #: squared norms at or below this are treated as numerical breakdown
 DEGENERACY_THRESHOLD = 1e-14
@@ -39,37 +38,30 @@ DEFAULT_QUAD_POINTS = 96
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight function W(x) > 0 for the orthogonality inner product.
+    """Jacobi weight W(x) = (x - lo)^beta_left (hi - x)^beta_right on [lo, hi]
+    for the orthogonality inner product; both exponents 0 is the unit weight."""
 
-    kind        one of "unit", "jacobi"
-    beta_left   exponent of (x - lo) when kind == "jacobi"
-    beta_right  exponent of (hi - x) when kind == "jacobi"
-    """
-
-    kind: str
     lo: float = 0.0
     hi: float = 1.0
     beta_left: float = 0.0
     beta_right: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("unit", "jacobi"):
-            raise DomainError(f"unknown weight kind {self.kind!r}")
         if not all(math.isfinite(v) for v in
                    (self.lo, self.hi, self.beta_left, self.beta_right)):
             raise DomainError("weight interval and exponents must be finite")
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.kind == "jacobi" and not (self.beta_left > -1 and self.beta_right > -1):
+        if not (self.beta_left > -1 and self.beta_right > -1):
             raise DomainError("jacobi weight exponents must exceed -1")
 
     @classmethod
     def unit(cls, lo=0.0, hi=1.0):
-        return cls("unit", lo, hi)
+        return cls(lo, hi)
 
     @classmethod
     def jacobi(cls, beta_left, beta_right, lo=0.0, hi=1.0):
-        return cls("jacobi", lo, hi, beta_left, beta_right)
+        return cls(lo, hi, beta_left, beta_right)
 
 
 @dataclass(frozen=True)
@@ -145,31 +137,14 @@ class OrthogonalBasis:
         return rows
 
     def inner(self, f, g=None):
-        """Inner product <f, g>_W under this basis's discretization."""
-        return inner_product(f, 1.0 if g is None else g, points=self.points,
-                             weights=self.ip_weights)
+        """Inner product <f, g>_W under this basis's discretization (g = 1
+        when omitted); ``f`` and ``g`` are callables or values at ``points``."""
+        wf = self.ip_weights * _eval_on(f, self.points)
+        return float(np.sum(wf if g is None else wf * _eval_on(g, self.points)))
 
 
 def _eval_on(f, points):
     return quad.sample(f, points) if callable(f) else np.asarray(f, dtype=float)
-
-
-def inner_product(f, g, *, rule=None, points=None, weights=None):
-    """<f, g>_W: quadrature (continuous mode) or weighted sum (discrete mode).
-
-    Exactly one of ``rule`` or ``points`` must be given; ``weights`` applies
-    to the discrete mode (defaults to all ones).
-    """
-    if (rule is None) == (points is None):
-        raise UsageError("pass exactly one of rule= (continuous) or points= (discrete)")
-    if rule is not None:
-        if weights is not None:
-            raise UsageError("weights= applies to the discrete mode only")
-        pts, w = rule.nodes, rule.weights
-    else:
-        pts = np.asarray(points, dtype=float)
-        w = np.ones_like(pts) if weights is None else np.asarray(weights, dtype=float)
-    return float(np.sum(w * _eval_on(f, pts) * _eval_on(g, pts)))
 
 
 def default_rule(weight, lam, quad_points=DEFAULT_QUAD_POINTS):
@@ -181,7 +156,7 @@ def default_rule(weight, lam, quad_points=DEFAULT_QUAD_POINTS):
     converges geometrically.
     """
     lo, hi = weight.lo, weight.hi
-    if weight.kind == "jacobi":
+    if weight.beta_left != 0 or weight.beta_right != 0:
         if (lo, hi) == (0.0, 1.0):
             return quad.weighted_rule(quad_points, lam, weight.beta_left,
                                       weight.beta_right)
@@ -242,6 +217,7 @@ def build_continuous(weight, lam, n, rule=None, quad_points=DEFAULT_QUAD_POINTS)
     """
     n = check_degree(n)
     check_lambda(lam)
+    quad_points = check_degree(quad_points, quad.MAX_POINTS, least=1, noun="point count")
     if rule is None:
         rule = default_rule(weight, lam, max(quad_points, 2 * n + 8))
     return _recurrence(rule.nodes, rule.weights, lam, n, "continuous",

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .fraccalc import fde_abs_error, solve_fde
 from .functions import POPULATION_ORDER, lookup, multi_term_problem, single_term_problem
 from .lsq import DataSet, add_noise, fit_continuous_normal, fit_discrete_normal, \
@@ -274,10 +275,10 @@ TABLE_JOBS = {
 
 def run_table(table_id, **kwargs):
     """Run one reproduction job with its own keyword parameters; returns its
-    CheckRows."""
+    CheckRows.  An unknown ``table_id`` raises UsageError."""
     try:
         job = TABLE_JOBS[table_id.upper()]
     except KeyError:
-        raise KeyError(f"unsupported table id {table_id!r}; "
+        raise UsageError(f"unsupported table id {table_id!r}; "
                        f"supported: {', '.join(sorted(TABLE_JOBS))}") from None
     return job(**kwargs)

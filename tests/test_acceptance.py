@@ -30,7 +30,6 @@ from fraclsq import (
     expand_to_monomial,
     fit_discrete_normal,
     fit_projection,
-    frac_poly_eval,
     FracFunction,
     gamma,
     gauss_jacobi,
@@ -181,7 +180,7 @@ def test_criterion_9_recurrence_vs_direct_formula():
             p = muntz_legendre_coeffs(n, lam)
             for x in np.linspace(0, 1, 21):
                 worst = max(worst, abs(muntz_legendre_eval(n, lam, float(x))
-                                       - frac_poly_eval(p, float(x))))
+                                       - p(float(x))))
     print(f"{'PASS' if worst <= 1e-9 else 'FAIL'}  recurrence vs direct formula: "
           f"worst {worst:.3e} (tol 1e-9, n <= 10)")
     assert worst <= 1e-9

@@ -3,12 +3,13 @@ import inspect
 import math
 import pickle
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fraclsq
-from fraclsq import fraccalc, fracpoly, lsq
+from fraclsq import fraccalc, fracpoly, functions, lsq, reproduce
 
 
 def test_public_names_are_stable():
@@ -16,12 +17,10 @@ def test_public_names_are_stable():
         "ConditioningError", "ConvergenceError", "DegeneracyError", "DomainError",
         "FraclsqError", "RankDeficiencyError", "UsageError",
         "gamma", "mittag_leffler",
-        "FractionalPolynomial", "frac_poly_eval", "muntz_legendre_coeffs",
-        "muntz_legendre_eval",
+        "FractionalPolynomial", "muntz_legendre_coeffs", "muntz_legendre_eval",
         "QuadratureRule", "common_step", "frac_moment", "gauss_jacobi",
         "gauss_legendre", "integrate", "substituted_rule", "weighted_rule",
         "OrthogonalBasis", "WeightSpec", "build_continuous", "build_discrete",
-        "inner_product",
         "DataSet", "FitResult", "add_noise", "expand_to_monomial",
         "fit_continuous_normal", "fit_discrete_normal", "fit_projection", "predict",
         "FdeProblem", "FracFunction", "apply_operator", "caputo_derivative",
@@ -126,7 +125,7 @@ def _abscissa_entry_points(x):
         (lambda: fraclsq.DataSet(pts, [1.0, 2.0, 3.0]), "xs"),
         (lambda: fraclsq.build_discrete(None, pts, 0.5, 1), "discrete points"),
         (lambda: fraclsq.predict(fit, pts), "fit abscissae"),
-        (lambda: fraclsq.frac_poly_eval(fraclsq.FractionalPolynomial(0.5, (1.0, 2.0)), pts),
+        (lambda: fraclsq.FractionalPolynomial(0.5, (1.0, 2.0))(pts),
          "fractional polynomial abscissae"),
         (lambda: fracpoly.muntz_legendre_rungs(1, 0.5, pts), "Muntz-Legendre abscissae"),
         (lambda: fraclsq.price_american_put(job, paths), "path prices"),
@@ -183,3 +182,27 @@ def test_every_module_export_resolves():
         module = importlib.import_module(f"fraclsq.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"fraclsq.{info.name}.__all__ names {name}"
+
+
+def test_every_exception_class_is_defined_in_errors():
+    # one error family: exit 2 means UsageError or DomainError, both from errors.py
+    homes = {obj.__module__
+             for info in pkgutil.iter_modules(fraclsq.__path__)
+             for obj in vars(importlib.import_module(f"fraclsq.{info.name}")).values()
+             if inspect.isclass(obj) and issubclass(obj, BaseException)
+             and obj.__module__.startswith("fraclsq")}
+    assert homes == {"fraclsq.errors"}
+
+
+def test_unknown_names_are_usage_errors():
+    with pytest.raises(fraclsq.UsageError, match="unknown function 'nope'"):
+        functions.lookup("nope")
+    with pytest.raises(fraclsq.UsageError, match="unsupported table id 'T3'"):
+        reproduce.run_table("T3")
+
+
+def test_readme_library_surface_runs():
+    # a name retired from the API but left in the README fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

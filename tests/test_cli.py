@@ -131,6 +131,28 @@ def test_fit_weight_flag_needs_projection(capsys):
     assert "projection" in err
 
 
+@pytest.mark.parametrize("method", ["normal", "projection"])
+def test_fit_jacobi_zero_zero_is_the_unit_weight(method, capsys):
+    base = ["fit", "--function", "x15", "--lambda", "0.75", "--degree", "3",
+            "--method", method, "--weight"]
+    unit = run_cli(base + ["unit"], capsys)
+    assert unit[0] == 0
+    assert run_cli(base + ["jacobi:0:0"], capsys) == unit
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--function", "x15", "--method", "projection"],
+    ["orthpoly"],
+])
+@pytest.mark.parametrize("count", ["0", "-5", "257"])
+def test_quad_points_out_of_range_is_input_error(args, count, capsys):
+    code, out, err = run_cli(args + ["--lambda", "0.5", "--degree", "2",
+                                     "--quad-points", count], capsys)
+    assert code == 2
+    assert out == "" and err == f"error: point count must be an integer in [1, 256], " \
+                                f"got {count}\n"
+
+
 def test_fit_curve_out(sales_csv, capsys, tmp_path):
     curve = tmp_path / "curve.csv"
     code, _, _ = run_cli(
@@ -294,6 +316,16 @@ def test_orthpoly_discrete_points_file(tmp_path, capsys):
     assert doc["params"]["mode"] == "discrete"
 
 
+def test_orthpoly_points_file_reports_the_points_span(tmp_path, capsys):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0.7\n0.1\n2.3\n1.2\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        ["orthpoly", "--points-file", str(pts), "--lambda", "0.5", "--degree", "2"],
+        capsys)
+    assert code == 0
+    assert json.loads(out)["params"]["interval"] == [0.1, 2.3]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_orthpoly_nonfinite_points_file_is_input_error(tmp_path, capsys, bad):
     pts = tmp_path / "points.txt"
@@ -379,6 +411,18 @@ def test_solve_fde_unknown_rhs(capsys):
          "--degree", "2"], capsys)
     assert code == 2
     assert "unknown function" in err
+
+
+@pytest.mark.parametrize("basis", ["monomial", "muntz_legendre"])
+@pytest.mark.parametrize("terms", [["--alphas", "0.5", "--term-coeffs", "0"],
+                                   ["--alphas", ","]])
+def test_solve_fde_zero_operator_is_input_error(terms, basis, capsys):
+    code, out, err = run_cli(
+        ["solve-fde", *terms, "--rhs", "x15", "--lambda", "0.5", "--degree", "3",
+         "--basis", basis], capsys)
+    assert code == 2
+    assert out == "" and err == ("error: the operator is zero: every term coefficient "
+                                 "and the reaction are 0\n")
 
 
 def test_price_smoke(capsys):
@@ -702,6 +746,21 @@ def test_discrete_sources_accept_the_default_interval_spelled_out(sales_csv, tmp
     assert code == 0
     code, spelled, _ = run_cli(base + ["--interval", "0.0:1", "--weight", "unit"], capsys)
     assert code == 0 and spelled == plain
+    # jacobi:0:0 is the unit weight; params echo the flag as given
+    code, jacobi, _ = run_cli(base + ["--weight", "jacobi:0:0"], capsys)
+    assert code == 0
+    assert jacobi == plain.replace('"weight": "unit"', '"weight": "jacobi:0:0"')
+
+
+def test_a_bug_inside_a_verb_is_not_reported_as_bad_input(sales_csv, monkeypatch):
+    # only UsageError and DomainError mean bad input (exit 2); a KeyError
+    # raised by the program itself propagates
+    def broken(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "add_noise", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["noise", "--input", str(sales_csv), "--percent", "5"])
 
 
 def test_parser_is_built_once():

@@ -291,6 +291,24 @@ def test_frac_function_rejects_nonfinite_terms(pair):
         FracFunction.from_terms([(1.0, 0.0), pair])
 
 
+def test_frac_function_rejects_merged_terms_that_overflow():
+    with pytest.raises(DomainError, match=r"terms must be finite, got inf \* x\^0.5"):
+        FracFunction.from_terms([(1e308, 0.5), (1e308, 0.5)])
+    assert FracFunction.from_terms([(1e308, 0.5), (-1e308, 0.5)]).terms == ()
+
+
+@pytest.mark.parametrize("basis_kind", ["monomial", "muntz_legendre"])
+@pytest.mark.parametrize("terms,reaction", [(((0.5, 0.0),), 0.0), ((), 0.0),
+                                            (((0.5, 0.0), (0.25, 0.0)), -0.0)])
+def test_zero_operator_is_a_domain_error(basis_kind, terms, reaction):
+    prob = FdeProblem(terms=terms, reaction=reaction,
+                      rhs=FracFunction.from_terms([(1.0, 1.5)]))
+    with pytest.raises(DomainError, match="the operator is zero"):
+        solve_fde(prob, 0.5, 3, basis_kind=basis_kind)
+    # the check is the solver's: the operator itself still maps to zero
+    assert apply_operator(prob, FracFunction.from_terms([(1.0, 1.0)])).terms == ()
+
+
 def test_quadrature_path_rejects_nonfinite_rhs():
     prob = FdeProblem(terms=((0.5, 1.0),), rhs=lambda x: np.log(x - 0.5))
     with pytest.raises(DomainError, match="not finite"), np.errstate(invalid="ignore"):

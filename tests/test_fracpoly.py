@@ -6,7 +6,6 @@ import pytest
 from fraclsq import (
     DomainError,
     FractionalPolynomial,
-    frac_poly_eval,
     integrate,
     muntz_legendre_coeffs,
     muntz_legendre_eval,
@@ -21,23 +20,23 @@ from fraclsq.fracpoly import muntz_legendre_rungs
 
 def test_eval_at_one_sums_coeffs():
     p = FractionalPolynomial(0.75, (0.0, 1.0, 1.0))
-    assert frac_poly_eval(p, 1.0) == pytest.approx(2.0, abs=1e-15)
+    assert p(1.0) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_eval_constant_term_at_zero():
     p = FractionalPolynomial(0.5, (-math.pi / 4, 1.0))
-    assert frac_poly_eval(p, 0.0) == -math.pi / 4
+    assert p(0.0) == -math.pi / 4
 
 
 def test_eval_table_row():
     p = FractionalPolynomial(1.5, (0.1388, 2.5269, -0.7126))
-    assert frac_poly_eval(p, 1.0) == pytest.approx(1.9531, abs=1e-12)
+    assert p(1.0) == pytest.approx(1.9531, abs=1e-12)
 
 
 def test_eval_rejects_negative_x():
     p = FractionalPolynomial(0.5, (1.0,))
     with pytest.raises(DomainError):
-        frac_poly_eval(p, -0.1)
+        p(-0.1)
 
 
 def test_lambda_range_enforced():
@@ -103,12 +102,12 @@ def test_muntz_eval_matches_direct_coeffs(lam):
         tol = 1e-9 if n <= 10 else max(1e-9, eps * sum(abs(c) for c in p.coeffs))
         for x in np.linspace(0, 1, 11):
             assert muntz_legendre_eval(n, lam, float(x)) == pytest.approx(
-                frac_poly_eval(p, float(x)), abs=tol)
+                p(float(x)), abs=tol)
 
 
 def test_muntz_eval_cross_check_point():
     got = muntz_legendre_eval(3, 0.5, 0.9)
-    want = frac_poly_eval(muntz_legendre_coeffs(3, 0.5), 0.9)
+    want = muntz_legendre_coeffs(3, 0.5)(0.9)
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -166,10 +165,10 @@ def test_array_evaluation_matches_scalar_calls():
                 muntz_legendre_eval(n, lam, xs),
                 [muntz_legendre_eval(n, lam, float(x)) for x in xs], rtol=1e-14, atol=0)
     p = FractionalPolynomial(0.7, (0.3, -1.2, 2.5, 0.8))
-    np.testing.assert_allclose(frac_poly_eval(p, xs), [frac_poly_eval(p, float(x)) for x in xs],
+    np.testing.assert_allclose(p(xs), [p(float(x)) for x in xs],
                                rtol=1e-14, atol=0)
-    assert frac_poly_eval(p, xs.reshape(37, 1)).shape == (37, 1)
-    assert frac_poly_eval(FractionalPolynomial(0.5, (2.0,)), xs).tolist() == [2.0] * 37
+    assert p(xs.reshape(37, 1)).shape == (37, 1)
+    assert FractionalPolynomial(0.5, (2.0,))(xs).tolist() == [2.0] * 37
 
 
 def test_array_evaluators_keep_their_domains():
@@ -178,9 +177,9 @@ def test_array_evaluators_keep_their_domains():
     with pytest.raises(DomainError):
         muntz_legendre_eval(2, 0.5, np.array([0.5, np.nan]))
     with pytest.raises(DomainError):
-        frac_poly_eval(FractionalPolynomial(0.5, (1.0, 1.0)), np.array([0.5, -0.1]))
+        FractionalPolynomial(0.5, (1.0, 1.0))(np.array([0.5, -0.1]))
     with pytest.raises(DomainError):
-        frac_poly_eval(FractionalPolynomial(0.5, (1.0, 1.0)), np.inf)
+        FractionalPolynomial(0.5, (1.0, 1.0))(np.inf)
 
 
 def test_muntz_rungs_table_rows_and_extrapolation():
@@ -194,7 +193,7 @@ def test_muntz_rungs_table_rows_and_extrapolation():
     far = np.array([1.25, 1.5, 2.0, 3.0])
     table = muntz_legendre_rungs(n, lam, far)
     for i in range(n + 1):
-        want = frac_poly_eval(muntz_legendre_coeffs(i, lam), far)
+        want = muntz_legendre_coeffs(i, lam)(far)
         np.testing.assert_allclose(table[i], want, rtol=1e-11)
     for bad in (-0.1, np.inf, np.nan):
         with pytest.raises(DomainError):

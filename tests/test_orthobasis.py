@@ -8,19 +8,16 @@ from fraclsq import (
     DegeneracyError,
     DomainError,
     RankDeficiencyError,
-    UsageError,
     WeightSpec,
     build_continuous,
     build_discrete,
     frac_moment,
-    frac_poly_eval,
-    inner_product,
     gauss_legendre,
 )
 
 
 def _poly_vals(poly, xs):
-    return np.array([frac_poly_eval(poly, float(x)) for x in xs])
+    return np.array([poly(float(x)) for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +224,6 @@ def test_distinctness_verdict_matches_unique(points):
             build_discrete(None, points, 0.5, 1)
 
 
-# ---------------------------------------------------------------------------
-# inner_product
-# ---------------------------------------------------------------------------
-
-def test_inner_product_modes():
-    rule = gauss_legendre(8, 0.0, 1.0)
-    one = lambda x: np.ones_like(x)
-    assert inner_product(one, one, rule=rule) == pytest.approx(1.0, rel=1e-14)
-    assert inner_product(one, one, points=[0.0, 1.0, 2.0]) == pytest.approx(3.0)
-    with pytest.raises(UsageError):
-        inner_product(one, one)
-    with pytest.raises(UsageError):
-        inner_product(one, one, rule=rule, points=[0.0])
-
-
 def test_basis_inner_positive_norm():
     basis = build_continuous(WeightSpec.jacobi(0.0, -0.5), 0.5, 1)
     l1 = basis.polys[1]
@@ -249,6 +231,8 @@ def test_basis_inner_positive_norm():
                       lambda x: _poly_vals(l1, np.atleast_1d(x)))
     assert val > 0
     assert val == pytest.approx(basis.sq_norms[1], rel=1e-12)
+    # g defaults to 1: a plain weighted sum over the basis's points
+    assert build_discrete(None, [0.0, 1.0, 2.0], 1.0, 1).inner(lambda x: x) == 3.0
 
 
 def test_ladder_values_is_a_rung_table():
@@ -336,10 +320,25 @@ def test_point_rungs_is_the_read_only_rung_table(case):
 @pytest.mark.parametrize("field", ["lo", "hi", "beta_left", "beta_right"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_weight_spec_rejects_nonfinite_fields(field, bad):
-    kw = dict(kind="jacobi", lo=0.0, hi=1.0, beta_left=0.0, beta_right=0.0)
+    kw = dict(lo=0.0, hi=1.0, beta_left=0.0, beta_right=0.0)
     kw[field] = bad
     with pytest.raises(DomainError, match="finite"):
         WeightSpec(**kw)
+
+
+@pytest.mark.parametrize("hi", [1.0, 2.0])
+@pytest.mark.parametrize("lam,n", [(0.5, 4), (0.75, 6), (1.39, 3)])
+def test_jacobi_zero_zero_builds_the_unit_basis(hi, lam, n):
+    unit = build_continuous(WeightSpec.unit(0.0, hi), lam, n)
+    jac = build_continuous(WeightSpec.jacobi(0.0, 0.0, 0.0, hi), lam, n)
+    assert (jac.B, jac.C, jac.sq_norms) == (unit.B, unit.C, unit.sq_norms)
+    assert jac.point_rungs.tobytes() == unit.point_rungs.tobytes()
+
+
+@pytest.mark.parametrize("quad_points", [0, -5, 257, 2.0, None])
+def test_quad_points_is_checked_before_its_floor(quad_points):
+    with pytest.raises(DomainError, match=r"point count must be an integer in \[1, 256\]"):
+        build_continuous(WeightSpec.unit(), 0.5, 2, quad_points=quad_points)
 
 
 def test_bases_carry_their_interval():
