@@ -244,17 +244,17 @@ def _basis(lam, n, kind):
     return _merge(n + 1, [([i * lam for i in range(n + 1)], C)])
 
 
-def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
+def solve_fde(prob, lam, n, basis_kind="monomial"):
     """Minimize the integrated squared residual over the degree-n ladder.
 
     Returns a FitResult whose ``error`` is the residual functional at the
     minimizer and whose coefficients express the solution in the chosen basis.
-    With a FracFunction right-hand side and no explicit rule, all normal-
-    equation entries are exact rational moments (interval [0, 1] only);
-    otherwise the quadrature rule samples the residual and ``lsq``'s float
-    core solves and scores it.  Either route raises DegeneracyError when its
-    normal equations are singular; a zero operator (every term coefficient
-    and the reaction 0) raises DomainError.
+    With a FracFunction right-hand side on [0, 1], all normal-equation
+    entries are exact rational moments; otherwise a quadrature rule samples
+    the residual and ``lsq``'s float core solves and scores it.  Either
+    route raises DegeneracyError when its normal equations are singular; a
+    zero operator (every term coefficient and the reaction 0) raises
+    DomainError.
     """
     check_lambda(lam)
     n = check_degree(n, MAX_FDE_SIZE - 1)
@@ -268,7 +268,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
     blocks = _image(prob, *_basis(lam, n, basis_kind), ic=True)
 
     try:
-        if isinstance(prob.rhs, FracFunction) and rule is None and prob.hi == 1.0:
+        if isinstance(prob.rhs, FracFunction) and prob.hi == 1.0:
             # A = [Psi; F], F = rhs + y0, on one lattice that also scores the residual
             Fe, Fc = zip(*prob.rhs.terms, (0.0, prob.initial_value))
             exps, A = _merge(n + 2, [*blocks, (Fe, np.vstack([np.zeros((n + 1, len(Fc))), Fc]))])
@@ -285,10 +285,9 @@ def solve_fde(prob, lam, n, basis_kind="monomial", rule=None):
             error = N[0][0] / D
         else:
             exps, Psi = _merge(n + 1, blocks)
-            if rule is None:
-                # the x^step substitution makes the residual integrands exactly
-                # polynomial when the operator images share an exponent step
-                rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
+            # the x^step substitution makes the residual integrands exactly
+            # polynomial when the operator images share an exponent step
+            rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
             x, w = rule.nodes, rule.weights
             fvals = quad.sample(prob.rhs, x) + prob.initial_value
             # Psi's rows at the nodes, summed as FracFunction.__call__ sums

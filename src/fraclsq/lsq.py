@@ -141,7 +141,8 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
 
     A is assembled exactly from closed-form moments; d and the error
     functional use the supplied quadrature rule (default: 64 points from
-    :func:`quadrature.ladder_rule` for the ladder exponents).
+    :func:`quadrature.ladder_rule` for the ladder exponents), which must be
+    a unit-weight rule on [lo, hi].
     """
     if not 0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
@@ -150,6 +151,8 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
     if rule is None:
         rule = quad.ladder_rule(DEFAULT_QUAD_POINTS, lam * np.arange(n + 1), lo, hi,
                                 fallback_step=lam)
+    elif (rule.lo, rule.hi) != (lo, hi):
+        raise UsageError(f"rule is on [{rule.lo}, {rule.hi}], the fit on [{lo}, {hi}]")
     moments = np.array([quad.frac_moment(lo, hi, lam * k) for k in range(2 * n + 1)])
     ys = quad.sample(y, rule.nodes)
     coeffs, cond, fitted = _normal_solve(_hankel(moments),

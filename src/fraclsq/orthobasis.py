@@ -147,24 +147,6 @@ def _eval_on(f, points):
     return quad.sample(f, points) if callable(f) else np.asarray(f, dtype=float)
 
 
-def default_rule(weight, lam, quad_points=DEFAULT_QUAD_POINTS):
-    """Quadrature discretization of the weighted inner product for ``weight``.
-
-    The returned rule has the weight folded into its weights array.  On
-    [0, 1] the x^lam substitution makes ladder products exactly integrable;
-    elsewhere (lo > 0, no endpoint singularity at 0) plain Gauss-Legendre
-    converges geometrically.
-    """
-    lo, hi = weight.lo, weight.hi
-    if weight.beta_left != 0 or weight.beta_right != 0:
-        if (lo, hi) == (0.0, 1.0):
-            return quad.weighted_rule(quad_points, lam, weight.beta_left,
-                                      weight.beta_right)
-        return quad.gauss_jacobi(quad_points, weight.beta_left, weight.beta_right,
-                                 lo, hi)
-    return quad.ladder_rule(quad_points, (lam,), lo, hi, fallback_step=lam)
-
-
 def _rung(rows, t, B, C, i):
     """Fill row i >= 1 of a rung table at t = x^lam from rows i-1 and i-2."""
     if i == 1:
@@ -208,18 +190,17 @@ def _recurrence(points, w, lam, n, mode, lo, hi):
     return basis
 
 
-def build_continuous(weight, lam, n, rule=None, quad_points=DEFAULT_QUAD_POINTS):
+def build_continuous(weight, lam, n, quad_points=DEFAULT_QUAD_POINTS):
     """Monic basis of {1, x^lam, ..., x^(n*lam)} orthogonal under W on [lo, hi].
 
-    ``rule`` overrides the weight-derived quadrature; it must have the weight
-    folded in (its nodes/weights define the inner product the basis is
-    orthogonal against).
+    The inner product is discretized by :func:`quadrature.ladder_rule` with
+    the weight folded in, at no fewer than 2n + 8 points.
     """
     n = check_degree(n)
     check_lambda(lam)
     quad_points = check_degree(quad_points, quad.MAX_POINTS, least=1, noun="point count")
-    if rule is None:
-        rule = default_rule(weight, lam, max(quad_points, 2 * n + 8))
+    rule = quad.ladder_rule(max(quad_points, 2 * n + 8), (lam,), weight.lo, weight.hi, lam,
+                            weight.beta_left, weight.beta_right)
     return _recurrence(rule.nodes, rule.weights, lam, n, "continuous",
                        float(weight.lo), float(weight.hi))
 

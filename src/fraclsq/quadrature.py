@@ -10,7 +10,7 @@ the substitution u = x^lam, which turns them into ordinary polynomials and
 absorbs the Jacobian u^(1/lam - 1) as a Gauss-Jacobi left-endpoint factor.
 :func:`substituted_rule` and :func:`weighted_rule` package that substitution
 as ready-made rules, and :func:`ladder_rule` is the one place that picks a
-unit-weight rule for a given exponent set.  :func:`sample` is the one
+rule for a given weight and exponent set.  :func:`sample` is the one
 evaluator of user callables.
 
 Node/weight computation is delegated to the Golub-Welsch implementations in
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, check_lambda
+from .errors import DomainError, check_degree, check_lambda
 
 __all__ = [
     "QuadratureRule",
@@ -78,8 +78,7 @@ class QuadratureRule:
 
 def gauss_legendre(m, lo=-1.0, hi=1.0):
     """m-point Gauss-Legendre rule on [lo, hi], exact to polynomial degree 2m-1."""
-    if not 1 <= m <= MAX_POINTS:
-        raise DomainError(f"point count must be in [1, {MAX_POINTS}], got {m}")
+    m = check_degree(m, MAX_POINTS, least=1, noun="point count")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     t, w = np.polynomial.legendre.leggauss(m)
@@ -93,8 +92,7 @@ def gauss_jacobi(m, beta_left, beta_right, lo=-1.0, hi=1.0):
     Sum w_k f(x_k) equals the weighted integral exactly for polynomial f of
     degree <= 2m-1.  Both exponents must exceed -1 for integrability.
     """
-    if not 1 <= m <= MAX_POINTS:
-        raise DomainError(f"point count must be in [1, {MAX_POINTS}], got {m}")
+    m = check_degree(m, MAX_POINTS, least=1, noun="point count")
     if not (beta_left > -1 and beta_right > -1):
         raise DomainError(
             f"endpoint exponents must exceed -1, got ({beta_left}, {beta_right})"
@@ -169,13 +167,14 @@ def substituted_rule(m, step, hi=1.0):
     return QuadratureRule(nodes, weights, 0.0, hi)
 
 
-def weighted_rule(m, lam, beta_left=0.0, beta_right=0.0):
-    """Rule on [0, 1] with built-in weight x^beta_left (1-x)^beta_right,
+def weighted_rule(m, lam, beta_left=0.0, beta_right=0.0, hi=1.0):
+    """Rule on [0, hi] with built-in weight x^beta_left (hi-x)^beta_right,
     exact for integrands polynomial in x^lam.
 
-    Combines the u = x^lam substitution with Gauss-Jacobi absorption of both
-    endpoint factors; the leftover smooth factor ((1-x)/(1-u))^beta_right is
-    folded into the weights (evaluated via expm1/log to survive u near 1).
+    Combines the u = y^lam substitution, y = x/hi, with Gauss-Jacobi
+    absorption of both endpoint factors; the leftover smooth factor
+    ((1-y)/(1-u))^beta_right is folded into the weights (evaluated via
+    expm1/log to survive u near 1).
     """
     check_lambda(lam)
     if not (beta_left > -1 and beta_right > -1):
@@ -190,7 +189,7 @@ def weighted_rule(m, lam, beta_left=0.0, beta_right=0.0):
     if beta_right != 0.0 and lam != 1.0:
         one_minus_x = -np.expm1(np.log(u) / lam)
         w = w * (one_minus_x / (1.0 - u)) ** beta_right
-    return QuadratureRule(x, w, 0.0, 1.0)
+    return QuadratureRule(hi * x, w * hi ** (beta_left + beta_right + 1.0), 0.0, hi)
 
 
 def common_step(exponents):
@@ -219,18 +218,23 @@ def common_step(exponents):
     return float(g)
 
 
-def ladder_rule(m, exponents, lo, hi, fallback_step=None):
-    """m-point unit-weight rule on [lo, hi] for integrands built from x^e.
+def ladder_rule(m, exponents, lo, hi, fallback_step=None, beta_left=0.0, beta_right=0.0):
+    """m-point rule on [lo, hi] with built-in weight (x-lo)^beta_left
+    (hi-x)^beta_right, for integrands built from x^e; the one rule picker.
 
     On [0, hi] the x^step substitution with step = common_step(exponents)
     makes every such integrand exactly polynomial; when the exponents share
     no step in (0, 2], ``fallback_step`` (if given) is substituted instead.
-    Otherwise, and whenever lo > 0, plain Gauss-Legendre is returned.
+    Otherwise, and whenever lo > 0, plain Gauss-Jacobi (Gauss-Legendre for
+    the unit weight) is returned.
     """
+    step = None
     if lo == 0.0:
         step = common_step(exponents)
-        if step is not None and 0 < step <= 2:
-            return substituted_rule(m, step, hi)
-        if fallback_step is not None:
-            return substituted_rule(m, fallback_step, hi)
-    return gauss_legendre(m, lo, hi)
+        if step is None or not 0 < step <= 2:
+            step = fallback_step
+    if step is None:
+        return gauss_jacobi(m, beta_left, beta_right, lo, hi)
+    if beta_left == 0.0 and beta_right == 0.0:
+        return substituted_rule(m, step, hi)
+    return weighted_rule(m, step, beta_left, beta_right, hi)

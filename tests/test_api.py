@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fraclsq
-from fraclsq import fraccalc, fracpoly, functions, lsq, reproduce
+from fraclsq import fraccalc, fracpoly, functions, lsq, quadrature, reproduce
 
 
 def test_public_names_are_stable():
@@ -111,6 +112,42 @@ def test_numpy_integer_degrees_are_accepted():
     assert type(job.basis_degree) is int
     cap = DEGREE_ENTRY_POINTS[fraclsq.solve_fde][3]
     assert fraclsq.solve_fde(_PROB, 0.5, np.int64(cap)).coeffs.shape == (cap + 1,)
+
+
+#: every rule constructor, called with a point count ``m``
+POINT_COUNT_ENTRY_POINTS = {
+    "gauss_legendre": lambda m: quadrature.gauss_legendre(m, 0.0, 1.0),
+    "gauss_jacobi": lambda m: quadrature.gauss_jacobi(m, 0.5, -0.5, 0.0, 1.0),
+    "substituted_rule": lambda m: quadrature.substituted_rule(m, 0.5),
+    "weighted_rule": lambda m: quadrature.weighted_rule(m, 0.5, 0.0, -0.5),
+    "ladder_rule": lambda m: quadrature.ladder_rule(m, (0.5,), 0.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("m", [0, 2.5, 3.0, "3", None, quadrature.MAX_POINTS + 1])
+@pytest.mark.parametrize("name", sorted(POINT_COUNT_ENTRY_POINTS))
+def test_every_rule_constructor_applies_one_point_count_policy(name, m):
+    with pytest.raises(fraclsq.DomainError) as info:
+        POINT_COUNT_ENTRY_POINTS[name](m)
+    assert str(info.value) == (
+        f"point count must be an integer in [1, {quadrature.MAX_POINTS}], got {m!r}")
+    assert len(POINT_COUNT_ENTRY_POINTS[name](np.int64(3))) == 3
+
+
+def test_only_quadrature_builds_rules():
+    # every rule in src/ comes from quadrature.ladder_rule, the one picker
+    constructors = {"gauss_legendre", "gauss_jacobi", "substituted_rule", "weighted_rule"}
+    calls = []
+    for path in sorted(Path(fraclsq.__file__).parent.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in constructors:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, f"rules built outside quadrature.ladder_rule: {calls}"
 
 
 def _abscissa_entry_points(x):

@@ -53,6 +53,15 @@ def test_continuous_reference_rows():
     assert fit.error == pytest.approx(8.78e-4, rel=0.05)
 
 
+def test_continuous_rule_must_match_the_interval():
+    # a [0, 1] rule on a [0, 2] fit would sample y at the wrong nodes
+    with pytest.raises(UsageError, match=r"rule is on \[0.0, 1.0\], the fit on \[0, 2\]"):
+        fit_continuous_normal(lookup("x15"), 0, 2, 0.5, 3, rule=substituted_rule(64, 0.5))
+    fit = fit_continuous_normal(lookup("x15"), 0, 2, 0.5, 3,
+                                rule=substituted_rule(64, 0.5, hi=2.0))
+    assert fit.coeffs == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-10)
+
+
 def test_continuous_default_rule_close_enough():
     # without the common-step hint the default substitution still converges
     fn = lookup("x075+x15")

@@ -12,7 +12,6 @@ from fraclsq import (
     build_continuous,
     build_discrete,
     frac_moment,
-    gauss_legendre,
 )
 
 
@@ -115,11 +114,11 @@ def test_gram_schmidt_equivalence_continuous():
 
 
 def test_degeneracy_raises_with_index():
-    # a one-point continuous rule cannot support degree 1
-    rule = gauss_legendre(1, 0.0, 1.0)
+    # on [0, h] the squared norm of L_i scales as h^(2i+1): at h = 1e-3,
+    # ||L_2||^2 = h^5/180 = 5.6e-18 falls below the breakdown threshold
     with pytest.raises(DegeneracyError) as err:
-        build_continuous(WeightSpec.unit(), 1.0, 2, rule=rule)
-    assert err.value.index is not None
+        build_continuous(WeightSpec.unit(0.0, 1e-3), 1.0, 3)
+    assert err.value.index == 2
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +338,17 @@ def test_jacobi_zero_zero_builds_the_unit_basis(hi, lam, n):
 def test_quad_points_is_checked_before_its_floor(quad_points):
     with pytest.raises(DomainError, match=r"point count must be an integer in \[1, 256\]"):
         build_continuous(WeightSpec.unit(), 0.5, 2, quad_points=quad_points)
+
+
+def test_jacobi_basis_on_a_longer_interval_substitutes():
+    # weight (2-x)^(-1/2) on [0, 2], lam = 1/2: B_1 = pi / (2 sqrt 2); the
+    # x^lam substitution resolves the constants as well as on [0, 1]
+    weight = WeightSpec.jacobi(0.0, -0.5, 0.0, 2.0)
+    basis = build_continuous(weight, 0.5, 4)
+    assert basis.B[0] == pytest.approx(math.sqrt(2) * math.pi / 4, rel=1e-13)
+    fine = build_continuous(weight, 0.5, 4, quad_points=256)
+    np.testing.assert_allclose(basis.B, fine.B, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(basis.C, fine.C, rtol=1e-11, atol=0)
 
 
 def test_bases_carry_their_interval():

@@ -299,3 +299,24 @@ def test_ladder_rule_step_outside_range_uses_fallback():
 def test_ladder_rule_positive_lo_is_gauss_legendre():
     rule = ladder_rule(12, (0.5, 1.0), 0.5, 2.0, fallback_step=0.5)
     assert _same_rule(rule, gauss_legendre(12, 0.5, 2.0))
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.7, 0.75, 1.0, 1.1, 1.39, 1.5])
+@pytest.mark.parametrize("bl,br", [(0.0, -0.5), (0.5, 0.25)])
+def test_ladder_rule_jacobi_weight_on_unit_interval_is_weighted_rule(lam, bl, br):
+    assert _same_rule(ladder_rule(96, (lam,), 0.0, 1.0, lam, bl, br),
+                      weighted_rule(96, lam, bl, br))
+
+
+def test_ladder_rule_jacobi_weight_positive_lo_is_gauss_jacobi():
+    rule = ladder_rule(12, (0.5,), 0.5, 2.0, 0.5, -0.5, 0.25)
+    assert _same_rule(rule, gauss_jacobi(12, -0.5, 0.25, 0.5, 2.0))
+
+
+def test_weighted_rule_scaled_interval():
+    # int_0^2 x^(k/2) (2-x)^(-1/2) dx = 2^((k+1)/2) B(k/2 + 1, 1/2)
+    rule = weighted_rule(24, 0.5, 0.0, -0.5, hi=2.0)
+    assert (rule.lo, rule.hi) == (0.0, 2.0)
+    for k in range(8):
+        want = 2 ** ((k + 1) / 2) * _beta(k / 2 + 1, 0.5)
+        assert integrate(rule, lambda x: x ** (k / 2)) == pytest.approx(want, rel=1e-13)
