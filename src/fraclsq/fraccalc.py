@@ -15,14 +15,17 @@ blocks sum to the images Psi of all rungs at once; ``caputo_derivative`` and
 ``apply_operator`` are that map on one row.  With a power-sum right-hand
 side F on [0, 1], the Gram matrix of [Psi; F] is an integer form over one
 exponent lattice, summed on sparse int rows (``_lattice``, ``_exact_gram``),
-kept exact through every refinement residual, so a solution in the basis
-span is recovered to the last bit and the error is the exact integral of
-the squared residual row.
+kept exact through every refinement residual, and the error is the exact
+integral of the squared residual row.  A solution in the basis span is
+recovered to the last bit only while the float refinement contracts
+(cond * eps < 1): on monomial ladders at n=10 and n=14, where cond reaches
+1e14-2e18, in-ladder solutions are missed by 1.7e-6 to 4.8e-5.
 Otherwise a quadrature rule samples the rows of Psi for ``lsq``'s float core.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Union
 
@@ -46,6 +49,11 @@ __all__ = [
 ]
 
 MAX_FDE_SIZE = 15  # n+1 cap for the residual normal equations
+
+#: how many ladder bases and exponent lattices are kept for reuse; both
+#: depend on the problem's structure only, not on its coefficients
+BASIS_CACHE = 64
+LATTICE_CACHE = 64
 
 #: exponents are keyed by rounding to this many decimals so that one exponent
 #: reached by different float arithmetic lands on one column: a keyed rung
@@ -203,7 +211,12 @@ def _lattice(exps):
     """(Q, W, L): the kernel 1/(e_a + e_b + 1) on the sorted ``exps`` in ints.
     With e_a = P_a / Q exactly (Q the largest power-of-two denominator) it is
     Q / s_ab, s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
-    W[a][b] = L // s_ab, in lists of Python ints."""
+    W[a][b] = L // s_ab, in tuples of Python ints.  Cached on the exponents."""
+    return _lattice_of(tuple(exps))
+
+
+@lru_cache(maxsize=LATTICE_CACHE)
+def _lattice_of(exps):
     ratios = [e.as_integer_ratio() for e in exps]
     Q = max((q for _, q in ratios), default=1)
     P = [p * (Q // q) for p, q in ratios]
@@ -211,7 +224,7 @@ def _lattice(exps):
     distinct = set().union(*sums)
     L = math.lcm(*distinct)
     weight = {s: L // s for s in distinct}
-    return Q, [list(map(weight.__getitem__, row)) for row in sums], L
+    return Q, tuple(tuple(map(weight.__getitem__, row)) for row in sums), L
 
 
 def _exact_gram(A, lattice):
@@ -234,14 +247,22 @@ def _exact_gram(A, lattice):
 
 
 def _basis(lam, n, kind):
-    """(exps, C): the ladder exponents and one coefficient row per rung."""
+    """(exps, C): the ladder exponents and one coefficient row per rung, as a
+    tuple and a read-only array; cached on (float lam, n, kind)."""
     if kind not in ("monomial", "muntz_legendre"):
         raise DomainError(f"unknown basis kind {kind!r}")
+    return _basis_of(float(lam), n, kind)
+
+
+@lru_cache(maxsize=BASIS_CACHE)
+def _basis_of(lam, n, kind):
     C = np.eye(n + 1)
     if kind == "muntz_legendre":
         for i in range(n + 1):
             C[i, :i + 1] = muntz_legendre_coeffs(i, lam).coeffs
-    return _merge(n + 1, [([i * lam for i in range(n + 1)], C)])
+    exps, C = _merge(n + 1, [([i * lam for i in range(n + 1)], C)])
+    C.flags.writeable = False
+    return tuple(exps), C
 
 
 def solve_fde(prob, lam, n, basis_kind="monomial"):

@@ -148,11 +148,13 @@ def _eval_on(f, points):
 
 
 def _rung(rows, t, B, C, i):
-    """Fill row i >= 1 of a rung table at t = x^lam from rows i-1 and i-2."""
-    if i == 1:
-        rows[1] = t - B[0]
-    else:
-        rows[i] = (t - B[i - 1]) * rows[i - 1] - C[i - 2] * rows[i - 2]
+    """Fill row i >= 1 of a rung table at t = x^lam from rows i-1 and i-2,
+    as (t - B_i) * L_{i-1} - C_i * L_{i-2}, in place."""
+    row = rows[i, ...]  # a view, also when the points are a 0-d x
+    np.subtract(t, B[i - 1], out=row)
+    if i >= 2:
+        row *= rows[i - 1]
+        row -= C[i - 2] * rows[i - 2]
 
 
 def _distinct(pts):
@@ -167,15 +169,22 @@ def _recurrence(points, w, lam, n, mode, lo, hi):
     t = points**lam
     rows = np.empty((n + 1,) + points.shape)
     rows[0] = 1.0
+    u = np.empty_like(t)
     sq = [float(np.sum(w))]
     Bs, Cs = [], []
     for i in range(n + 1):
         if i >= 1:
-            Bs.append(float(np.sum(w * t * rows[i - 1] * rows[i - 1])) / sq[i - 1])
+            # u = w t L_{i-1}: C_i sums u L_{i-2} and B_i sums u L_{i-1}, as
+            # w * t * L_{i-1} * L_{i-2} associates; row i is scratch until
+            # _rung, and w t is not kept (it would be one more array of points)
+            np.multiply(w, t, out=u)
+            u *= rows[i - 1]
             if i >= 2:
-                Cs.append(float(np.sum(w * t * rows[i - 1] * rows[i - 2])) / sq[i - 2])
+                Cs.append(float(np.sum(np.multiply(u, rows[i - 2], out=rows[i]))) / sq[i - 2])
+            Bs.append(float(np.sum(np.multiply(u, rows[i - 1], out=u))) / sq[i - 1])
             _rung(rows, t, Bs, Cs, i)
-            sq.append(float(np.sum(w * rows[i] * rows[i])))
+            np.multiply(w, rows[i], out=u)
+            sq.append(float(np.sum(np.multiply(u, rows[i], out=u))))
         if sq[i] <= DEGENERACY_THRESHOLD:
             raise DegeneracyError(
                 f"degenerate norm at index {i}: {sq[i]:.3e}", index=i

@@ -14,7 +14,9 @@ rule for a given weight and exponent set.  :func:`sample` is the one
 evaluator of user callables.
 
 Node/weight computation is delegated to the Golub-Welsch implementations in
-numpy/scipy rather than re-deriving the eigenvalue problem here.  scipy is
+numpy/scipy rather than re-deriving the eigenvalue problem here.  A rule
+depends on its parameters only, so :func:`ladder_rule` keeps the last
+``LADDER_RULE_CACHE`` it built and hands each out again, read-only.  scipy is
 imported by :func:`gauss_jacobi` when it first builds a Jacobi rule, so a
 process that builds none (LSMC pricing, exact-moment FDE solves, discrete
 fits) never loads it.
@@ -23,6 +25,7 @@ fits) never loads it.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +48,9 @@ MAX_POINTS = 256
 
 #: largest denominator common_step matches an exponent with
 MAX_STEP_DENOMINATOR = 1000
+
+#: how many ladder_rule results are kept for reuse
+LADDER_RULE_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -227,14 +233,34 @@ def ladder_rule(m, exponents, lo, hi, fallback_step=None, beta_left=0.0, beta_ri
     no step in (0, 2], ``fallback_step`` (if given) is substituted instead.
     Otherwise, and whenever lo > 0, plain Gauss-Jacobi (Gauss-Legendre for
     the unit weight) is returned.
+
+    Equal arguments return the same rule object, whose arrays are read-only:
+    the picked rule is cached on the point count and the arguments as floats
+    (so 0, -0.0 and np.float64(0) are one ``lo``, and ``rule.lo`` is 0.0).
     """
+    m = check_degree(m, MAX_POINTS, least=1, noun="point count")
+    step = None if fallback_step is None else _float(fallback_step)
+    return _ladder_rule(m, tuple(map(float, exponents)), _float(lo), _float(hi), step,
+                        _float(beta_left), _float(beta_right))
+
+
+def _float(v):
+    return float(v) + 0.0  # -0.0 + 0.0 is 0.0
+
+
+@lru_cache(maxsize=LADDER_RULE_CACHE)
+def _ladder_rule(m, exponents, lo, hi, fallback_step, beta_left, beta_right):
     step = None
     if lo == 0.0:
         step = common_step(exponents)
         if step is None or not 0 < step <= 2:
             step = fallback_step
     if step is None:
-        return gauss_jacobi(m, beta_left, beta_right, lo, hi)
-    if beta_left == 0.0 and beta_right == 0.0:
-        return substituted_rule(m, step, hi)
-    return weighted_rule(m, step, beta_left, beta_right, hi)
+        rule = gauss_jacobi(m, beta_left, beta_right, lo, hi)
+    elif beta_left == 0.0 and beta_right == 0.0:
+        rule = substituted_rule(m, step, hi)
+    else:
+        rule = weighted_rule(m, step, beta_left, beta_right, hi)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
