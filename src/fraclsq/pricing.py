@@ -23,8 +23,11 @@ from .lsq import _discrete_fit
 __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
            "price_american_put"]
 
-#: cap on steps * paths, which keeps one job's memory bounded
+#: cap on steps * paths, which keeps one job's memory bounded: the paths are
+#: one (steps+1) x paths float64 array, 80 MB at the cap, plus one block
 PATH_STEP_BUDGET = 10_000_000
+#: paths drawn per block of ``simulate_paths`` (about 400 KB at 50 steps)
+_BLOCK_PATHS = 1024
 
 
 def _discount(r, t):
@@ -139,22 +142,38 @@ def simulate_paths(cfg):
     Exact log-normal stepping: S_{t+1} = S_t exp((r - sigma^2/2) dt
     + sigma sqrt(dt) Z).  Deterministic given the seed (Philox stream).
     The result is the transpose of a C-contiguous (steps+1) x paths buffer,
-    so ``paths.T[t]`` (all paths at date t) is contiguous.
+    so ``paths.T[t]`` (all paths at date t) is contiguous.  The normals are
+    drawn ``_BLOCK_PATHS`` whole paths at a time into one reused block, which
+    takes the Philox stream in the order of one (paths, steps) draw, so a job
+    holds the result plus one block: 80 MB at the path-step budget, where a
+    full-size draw beside the result peaked at 160 MB.  A price that
+    overflows raises DomainError; one that underflows to 0 is kept.
     """
-    dt = cfg.horizon / cfg.steps
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    # z becomes the log-increments, their running sums and the prices in
-    # place: two path-sized arrays at most, each entry rounded as in
-    # s0 * exp(cumsum(drift + vol * z))
-    z = rng.standard_normal((cfg.paths, cfg.steps))
-    z *= cfg.sigma * np.sqrt(dt)
-    z += (cfg.r - 0.5 * cfg.sigma**2) * dt
-    np.cumsum(z, axis=1, out=z)
-    np.exp(z, out=z)
-    z *= cfg.s0
     dates = np.empty((cfg.steps + 1, cfg.paths))
     dates[0] = cfg.s0
-    dates[1:] = z.T
+    block = np.empty((min(_BLOCK_PATHS, cfg.paths), cfg.steps))
+    # each block becomes the log-increments, their running sums and the prices
+    # in place, every entry rounded as in s0 * exp(cumsum(drift + vol * z));
+    # an overflow leaves inf (or nan from inf - inf), caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = cfg.horizon / cfg.steps
+        vol = cfg.sigma * np.sqrt(dt)
+        drift = (cfg.r - 0.5 * cfg.sigma**2) * dt
+        for a in range(0, cfg.paths, _BLOCK_PATHS):
+            z = block[:min(_BLOCK_PATHS, cfg.paths - a)]
+            rng.standard_normal(out=z)
+            z *= vol
+            z += drift
+            np.cumsum(z, axis=1, out=z)
+            np.exp(z, out=z)
+            z *= cfg.s0
+            if not np.isfinite(z).all():
+                raise DomainError(
+                    f"simulated prices overflow: s0 = {cfg.s0}, r = {cfg.r}, "
+                    f"sigma = {cfg.sigma} and horizon = {cfg.horizon} drive a path "
+                    f"past the float range")
+            dates[1:, a:a + len(z)] = z.T
     return dates.T
 
 

@@ -126,6 +126,9 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
 
     N, D = _dyadic(np.column_stack([A, b])) if exact is None else exact
     best_x, best_rnorm = x, float("inf")
+    # x -> x_next is deterministic, so once an iterate repeats the residual
+    # norms only cycle and best_x cannot change; + 0.0 makes -0.0 and 0.0 one key
+    seen = {(x + 0.0).tobytes()}
     with np.errstate(over="ignore"):  # the loop handles the inf an overflow leaves
         for _ in range(_MAX_REFINE):
             r = _residual(N, D, x)
@@ -137,7 +140,11 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
             if not r.any():
                 break
             x_next = x + d * solve_scaled(r * d)
-            if not np.isfinite(x_next).all() or (x_next == x).all():
+            if not np.isfinite(x_next).all():
                 break
+            key = (x_next + 0.0).tobytes()
+            if key in seen:
+                break
+            seen.add(key)
             x = x_next
     return best_x, cond

@@ -485,6 +485,10 @@ def _with(base, flag, value):
      "rate r = -700.0 overflows the discounted strike"),
     # 100 paths of cash flows up to 1e308 overflow the price's sums
     (_with(_PRICE, "--strike", "1e308"), "strike 1e+308 is too large"),
+    # a 1000 % rate drives every simulated price past the float range
+    (_PRICE + ["--s0=40", "--strike=44", "--horizon=1", "--steps=1", "--lambda=1",
+               "--sigma=0.2", "--rate=1000"],
+     "s0 = 40.0, r = 1000.0, sigma = 0.2 and horizon = 1.0"),
 ])
 def test_nonfinite_options_are_input_errors(args, named, capsys):
     code, out, err = run_cli(args, capsys)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,88 @@ def test_zero_volatility_skipped_dates_pinned():
 def test_simulated_paths_pinned(cfg, digest):
     paths = np.ascontiguousarray(simulate_paths(cfg))
     assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# block simulation
+# ---------------------------------------------------------------------------
+
+_B = pricing._BLOCK_PATHS
+
+
+def _full_draw_paths(cfg):
+    """simulate_paths as one (paths, steps) normal draw, the reference for the
+    block loop: the same arithmetic on the whole array at once."""
+    dt = cfg.horizon / cfg.steps
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    z = rng.standard_normal((cfg.paths, cfg.steps))
+    z *= cfg.sigma * np.sqrt(dt)
+    z += (cfg.r - 0.5 * cfg.sigma**2) * dt
+    np.cumsum(z, axis=1, out=z)
+    np.exp(z, out=z)
+    z *= cfg.s0
+    return np.hstack([np.full((cfg.paths, 1), cfg.s0), z])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.71])
+@pytest.mark.parametrize("steps", [1, 7, 60])
+@pytest.mark.parametrize("paths", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_block_simulation_equals_one_full_draw(paths, steps, sigma):
+    cfg = _cfg(paths=paths, steps=steps, sigma=sigma)
+    got = simulate_paths(cfg)
+    assert got.T.flags.c_contiguous
+    assert got.tobytes() == _full_draw_paths(cfg).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_any_block_size_gives_the_same_bits(block, monkeypatch):
+    cfg = _cfg(paths=200, steps=9)
+    monkeypatch.setattr(pricing, "_BLOCK_PATHS", block)
+    assert simulate_paths(cfg).tobytes() == _full_draw_paths(cfg).tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_holds_the_result_plus_one_block():
+    cfg = _cfg(steps=50, paths=20_000)  # 10**6 path-steps
+    simulate_paths(_cfg(steps=2, paths=3))  # warm the generator code
+    peak = _traced_peak(lambda: simulate_paths(cfg))
+    assert peak <= 8 * (cfg.steps + 1) * cfg.paths + 8 * _B * cfg.steps + 2**20
+
+
+def test_pricing_job_holds_the_paths_plus_one_block():
+    job = LsmcJob(gbm=_cfg(paths=10_000), strike=48.0, lam=0.5)  # the T9 size
+    price_american_put(job)  # warm imports and the first call's allocations
+    cfg = job.gbm
+    peak = _traced_peak(lambda: price_american_put(job))
+    assert peak <= 8 * (cfg.steps + 1) * cfg.paths + 8 * _B * cfg.steps + 2 * 2**20
+
+
+def test_overflowing_paths_are_one_domain_error():
+    # a 1000 % rate over one year: exp(~1000) overflows every path
+    job = LsmcJob(gbm=GbmConfig(s0=40.0, r=1000.0, sigma=0.2, horizon=1.0, steps=1,
+                                paths=100), strike=44.0, lam=1.0)
+    named = re.escape("s0 = 40.0, r = 1000.0, sigma = 0.2 and horizon = 1.0")
+    with pytest.raises(DomainError, match=named) as own:
+        price_american_put(job)
+    with pytest.raises(DomainError, match=named) as shared:
+        price_american_put(job, simulate_paths(job.gbm))
+    assert str(own.value) == str(shared.value)
+
+
+def test_underflowing_paths_keep_zero_prices():
+    # a -600 rate takes the second date's prices to about 40 * e^-900, below
+    # the smallest float: they underflow to 0, which is kept
+    cfg = GbmConfig(s0=40.0, r=-600.0, sigma=0.2, horizon=1.5, steps=2, paths=10)
+    paths = simulate_paths(cfg)
+    assert (paths[:, 1] > 0).all() and (paths[:, 2] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------

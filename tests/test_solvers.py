@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from fraclsq import ConditioningError
 from fraclsq import fraccalc, solvers
 from fraclsq.solvers import solve_normal_equations
-from fraclsq.functions import single_term_problem
+from fraclsq.functions import lookup, single_term_problem
+from fraclsq.lsq import fit_continuous_normal
 
 _residual = solvers._residual
 
@@ -59,7 +60,8 @@ def _fraction_solve(A, b, exact=None, allow_semidefinite=False):
         if not r.any():
             break
         x_next = x + d * solve_scaled(r * d)
-        if not np.all(np.isfinite(x_next)) or np.array_equal(x_next, x):
+        if not np.all(np.isfinite(x_next)) or \
+                any(np.array_equal(x_next, x_old) for x_old, _ in seen):
             break
         x = x_next
     return best_x, seen
@@ -144,6 +146,26 @@ def test_residual_norm_past_sqrt_float_max_still_picks_the_best_iterate(monkeypa
     assert max(np.abs(r).max() for _, r in seen) > math.sqrt(np.finfo(float).max)
     assert _bits(got) == _bits(want)
     assert _bits(got) != _bits(seen[0][0])  # the best iterate is not the first
+
+
+def test_refinement_stops_at_the_first_repeated_iterate(monkeypatch):
+    # the iterates of this continuous fit cycle (x_7 == x_4): the loop stops
+    # there, not after _MAX_REFINE residuals, and returns the same bits
+    calls = []
+
+    def counting(N, D, x):
+        calls.append(x)
+        return _residual(N, D, x)
+
+    monkeypatch.setattr(solvers, "_residual", counting)
+    fit = fit_continuous_normal(lookup("x075+x15"), 0, 1, 0.75, 8)
+    assert _bits(fit.coeffs) == [
+        "0x1.2b26d2ae52fa0p-34", "0x1.ffffffe1f6bdcp-1", "0x1.000000d875e15p+0",
+        "-0x1.59ce60b0855a0p-22", "0x1.238032cfd5c3ep-20", "-0x1.163028ea38bc8p-19",
+        "0x1.2e1f82912d368p-19", "-0x1.5c1543d585e4ep-20", "0x1.4a3bd7359973ap-22"]
+    assert (fit.error.hex(), fit.cond.hex()) == ("0x1.63ca94f8b382bp-75",
+                                                 "0x1.61d8dd638a677p+39")
+    assert len(calls) <= 8
 
 
 def test_exact_residual_of_fractions_and_floats():
