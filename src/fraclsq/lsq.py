@@ -14,9 +14,17 @@ least-squares error functional and a condition estimate of the solved
 system (1 for the projection route).
 
 It is also the float least-squares core of every sampled route (``solve_fde``'s
-quadrature path and LSMC too): :func:`_normal_solve` solves, :func:`_sse` scores.
-:func:`_discrete_fit` is the discrete route on plain arrays, which LSMC calls
-once per exercise date with no DataSet or FitResult around it.
+quadrature path and LSMC too): :func:`_normal_solve` solves the quadrature
+routes, :func:`_sse` scores.  :func:`_discrete_fit` is the discrete route on
+plain arrays, which LSMC calls once per exercise date with no DataSet or
+FitResult around it.
+
+A discrete fit sums the moments sum(w * x^(k lam)), k <= 2n, but keeps only
+V = x^(i lam), i <= n.  Past ``_BLOCK_ROWS`` points at n >= 3 it sums them
+block by block and never holds the N x (2n+1) power table, with the bits of
+one table.  Three layout hazards keep the other fits on one table: a
+contiguous V (n <= 2), a one-column einsum (n = 0) and a one-column exponent
+array (numpy's sqrt/square fast path at lam = 0.5 and 2).
 """
 
 from dataclasses import dataclass, replace
@@ -44,6 +52,8 @@ __all__ = [
 
 MAX_CONTINUOUS_SIZE = 20  # n+1 cap for the continuous normal equations
 DEFAULT_QUAD_POINTS = 64
+#: points per block of a large discrete fit's x^(k lam) powers (1.7 MB at n = 6)
+_BLOCK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -168,7 +178,8 @@ def fit_discrete_normal(data, lam, n):
     At lam = 1 this is exactly the classical polynomial least-squares fit:
     the normal matrix entries coincide entrywise with the integer-power
     sums.  Raises ConditioningError on rank deficiency (fewer points than
-    coefficients) or a numerically singular system.
+    coefficients) or a numerically singular system, and DomainError when a
+    moment or right-hand-side sum overflows.
     """
     check_lambda(lam)
     n = check_degree(n)
@@ -186,9 +197,52 @@ def fit_discrete_normal(data, lam, n):
 def _discrete_fit(xs, ys, w, lam, n):
     """(coeffs, cond, fitted) of the discrete fit on checked arrays (xs >= 0,
     all finite, >= n + 1 points); fitted equals ``predict`` at xs bit for bit.
-    The x^(k lam) table, k <= 2n, gives the moments and, as a view, V."""
-    P = _monomial_values(lam, 2 * n, xs)
-    return _normal_solve(_hankel(np.einsum("k,km->m", w, P)), P[:, :n + 1], ys, w)
+
+    Up to ``_BLOCK_ROWS`` points, or at n <= 2, one x^(k lam) table, k <= 2n,
+    gives the moments and, as a view, V.  A larger fit at n >= 3 sums them
+    block by block (:func:`_blocked_moments`) with the same bits.  Blocking
+    would move bits at n <= 2, where a contiguous V changes V^T (w ys); at
+    n = 0 a one-column einsum would also not add its rows in order, and a
+    one-column exponent array would take numpy's sqrt/square fast path at
+    lam = 0.5 and 2.
+
+    A moment or a right-hand-side entry past the float range is a DomainError
+    naming max x, lam and the degree."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n < 3 or len(xs) <= _BLOCK_ROWS:
+            P = _monomial_values(lam, 2 * n, xs)
+            moments, V = np.einsum("k,km->m", w, P), P[:, :n + 1]
+        else:
+            moments, V = _blocked_moments(xs, w, lam, n)
+        rhs = V.T @ (w * ys)
+    try:
+        coeffs, cond = solve_normal_equations(_hankel(moments), rhs)
+    except ConditioningError:
+        if np.isfinite(moments).all() and np.isfinite(rhs).all():
+            raise
+        raise DomainError(
+            f"the discrete normal equations overflow: max x = {float(np.max(xs)):.6g} "
+            f"with lambda = {lam} and degree {n} puts a sum of w * x^(k*lambda), "
+            f"k <= {2 * n}, or of w * y * x^(i*lambda) past the float range") from None
+    return coeffs, cond, V @ coeffs
+
+
+def _blocked_moments(xs, w, lam, n):
+    """(moments, V) of :func:`_discrete_fit` from ``_BLOCK_ROWS`` points at a
+    time: each block's x^(k lam) fill rows 1.. of one reused buffer whose row
+    0, weighted 1, carries the running sums, so the einsum, which adds rows
+    in order, continues the one-table sum; V is copied out contiguous."""
+    exps = lam * np.arange(2 * n + 1)
+    V = np.empty((len(xs), n + 1))
+    buf = np.zeros((_BLOCK_ROWS + 1, 2 * n + 1))
+    wb = np.ones(_BLOCK_ROWS + 1)
+    for a in range(0, len(xs), _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, len(xs) - a)
+        np.power(xs[a:a + m, None], exps, out=buf[1:m + 1])
+        wb[1:m + 1] = w[a:a + m]
+        buf[0] = np.einsum("k,km->m", wb[:m + 1], buf[:m + 1])
+        V[a:a + m] = buf[1:m + 1, :n + 1]
+    return buf[0].copy(), V
 
 
 def fit_projection(target, basis):

@@ -76,16 +76,20 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
 
     With ``allow_semidefinite`` a singular-but-consistent system (a Gram
     matrix with flat directions) falls back to the minimum-norm SVD
-    solution instead of raising; otherwise singular or non-finite systems
-    raise ConditioningError carrying the condition estimate.
+    solution instead of raising; otherwise singular systems raise
+    ConditioningError carrying the condition estimate.  A non-finite system
+    raises it with cond = inf before any LAPACK call.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    # LAPACK prints DLASCL lines on a non-finite matrix
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ConditioningError("normal equations are not finite (cond~inf)")
     cond = condition_estimate(A)
 
     # equilibrate: As = D A D with D = diag(1/sqrt(diag A))
     diag = A.diagonal()
-    if (diag <= 0).any() or not np.isfinite(A).all() or not np.isfinite(b).all():
+    if (diag <= 0).any():
         raise ConditioningError(
             f"normal matrix is not positive definite (cond~{cond:.3e})", cond=cond
         )

@@ -283,6 +283,19 @@ def test_fit_nonfinite_csv_is_input_error(tmp_path, capsys, rows, method):
     assert "finite" in err and out == ""
 
 
+def test_fit_overflowing_moments_is_one_error_line(tmp_path, capfd):
+    # x^4 of 1e200 overflows: exit 2 with one line, and no numpy warning or
+    # LAPACK DLASCL message (printed at the C level) before it
+    p = tmp_path / "big.csv"
+    write_csv(p, [f"{k}e200,{k}" for k in range(1, 6)])
+    code = main(["fit", "--input", str(p), "--lambda", "1", "--degree", "2"])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: the discrete normal equations overflow: max x = 5e+200 "
+                          "with lambda = 1.0 and degree 2")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # orthpoly
 # ---------------------------------------------------------------------------

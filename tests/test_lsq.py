@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fraclsq import (
 )
 from fraclsq import lsq, orthobasis
 from fraclsq.functions import lookup, multi_term_problem
+from fraclsq.solvers import solve_normal_equations
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +493,12 @@ def _fit_pinned(case):
         return fit_discrete_normal(data, 0.75, 4)
     if case == "discrete_projection":
         return fit_projection(data, build_discrete(data.weights, data.xs, 0.75, 4))
+    if case == "discrete_normal_blocked":
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(0.0, 1.5, 150_000)
+        ys = np.cos(3.0 * xs) + 0.05 * rng.standard_normal(len(xs))
+        assert len(xs) > lsq._BLOCK_ROWS  # the powers are summed block by block
+        return fit_discrete_normal(DataSet(xs, ys, rng.uniform(0.5, 2.0, len(xs))), 0.6, 5)
     basis = build_continuous(WeightSpec.jacobi(0.5, -0.5), 1.39, 5)
     return fit_projection(lookup("x075+x15").fn, basis)
 
@@ -505,6 +513,11 @@ _SAMPLED_PINNED = {
         ['0x1.03691de223048p+0', '-0x1.6e0091e709727p-1', '0x1.e8e165ff31f4ep-8',
          '0x1.29e4528768630p-4', '-0x1.aa4ec671137c4p-8'],
         '0x1.c5d427a879942p-1', '0x1.7a1bc1600f70fp+18'),
+    # recorded with the one-table route, before fits were blocked
+    "discrete_normal_blocked": (
+        ['0x1.20f45d99d8ceep+0', '-0x1.4d93548afbf9fp+1', '0x1.dbb8aeb83b551p+3',
+         '-0x1.207694a9316e3p+5', '0x1.c3668a9247205p+4', '-0x1.a1357d391eb33p+2'],
+        '0x1.f77227241ce49p+8', '0x1.1ab0de1be229ap+24'),
     "discrete_projection": (
         ['0x1.b8c2f2e842d54p-2', '-0x1.0b352fb4bec95p-1', '0x1.50f4caeadb0e1p-3',
          '0x1.9b38b44b27359p-5', '-0x1.aa4ec670c2a4cp-8'],
@@ -523,3 +536,74 @@ def test_sampled_route_is_pinned_bit_for_bit(case):
     assert [float(c).hex() for c in fit.coeffs] == coeffs
     assert float(fit.error).hex() == error
     assert float(fit.cond).hex() == cond
+
+
+# ---------------------------------------------------------------------------
+# large discrete fits: powers block by block, the bits of one table
+# ---------------------------------------------------------------------------
+
+def _one_table_fit(xs, ys, w, lam, n):
+    """The discrete fit from one N x (2n+1) power table with V as its view:
+    the reference the blocked route must match bit for bit."""
+    P = xs[:, None] ** (lam * np.arange(2 * n + 1))
+    V = P[:, :n + 1]
+    moments = np.einsum("k,km->m", w, P)
+    idx = np.arange(n + 1)
+    coeffs, cond = solve_normal_equations(moments[idx[:, None] + idx], V.T @ (w * ys))
+    return coeffs, cond, V @ coeffs
+
+
+_SMALL_BLOCK = 16
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("lam", [0.08, 0.5, 0.75, 2.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("points", [_SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                                    2 * _SMALL_BLOCK + 1])
+def test_blocked_discrete_fit_equals_one_table(points, n, lam, weighted, monkeypatch):
+    monkeypatch.setattr(lsq, "_BLOCK_ROWS", _SMALL_BLOCK)
+    blocked = []
+    real = lsq._blocked_moments
+    monkeypatch.setattr(lsq, "_blocked_moments",
+                        lambda *args: blocked.append(args) or real(*args))
+    rng = np.random.default_rng(points * 100 + n)
+    xs = rng.uniform(0.0, 2.0, points)
+    xs[0] = 0.0
+    ys = np.exp(-xs) + 0.05 * rng.standard_normal(points)
+    w = rng.uniform(0.5, 2.0, points) if weighted else np.ones(points)
+    coeffs, cond, fitted = lsq._discrete_fit(xs, ys, w, lam, n)
+    ref_coeffs, ref_cond, ref_fitted = _one_table_fit(xs, ys, w, lam, n)
+    assert coeffs.tobytes() == ref_coeffs.tobytes()
+    assert float(cond).hex() == float(ref_cond).hex()
+    assert fitted.tobytes() == ref_fitted.tobytes()
+    # at n <= 2 a contiguous V would move V^T (w y); those fits keep one table
+    assert len(blocked) == (n >= 3 and points > _SMALL_BLOCK)
+
+
+def test_large_discrete_fit_holds_v_plus_one_block():
+    N, n = 10**6, 6
+    rng = np.random.default_rng(6)
+    data = DataSet(np.sort(rng.uniform(0.0, 1.0, N)), rng.standard_normal(N))
+    fit_discrete_normal(DataSet(data.xs[:100], data.ys[:100]), 0.5, n)  # warm up
+    tracemalloc.start()
+    try:
+        fit_discrete_normal(data, 0.5, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # V, the unit weights, w * ys and the fitted values (and the error's
+    # temporaries after V is gone), plus one block of 2n + 1 powers
+    B = lsq._BLOCK_ROWS
+    assert peak <= 8 * N * (n + 4) + 8 * (B + 1) * (2 * n + 1) + 2 * 2**20
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_discrete_fit_is_one_domain_error(capfd):
+    # x^(4 lam) of 1e200 is past the float range: no numpy warning and no
+    # LAPACK message (printed at the C level) before the error
+    xs = np.linspace(1e200, 2e200, 50)
+    with pytest.raises(DomainError, match=r"max x = 2e\+200 with lambda = 1.0 and "
+                                          r"degree 2"):
+        fit_discrete_normal(DataSet(xs, np.sin(np.arange(50.0))), 1.0, 2)
+    assert capfd.readouterr() == ("", "")
