@@ -206,24 +206,34 @@ def _discrete_fit(xs, ys, w, lam, n):
     one-column exponent array would take numpy's sqrt/square fast path at
     lam = 0.5 and 2.
 
-    A moment or a right-hand-side entry past the float range is a DomainError
-    naming max x, lam and the degree."""
+    A moment past the float range is a DomainError naming max x, lam and the
+    degree; a right-hand-side entry past it, one naming max |y| and max w."""
     with np.errstate(over="ignore", invalid="ignore"):
         if n < 3 or len(xs) <= _BLOCK_ROWS:
+            # A first and no moments kept: LSMC's peak RSS was seen to follow
+            # the order of these small allocations
             P = _monomial_values(lam, 2 * n, xs)
-            moments, V = np.einsum("k,km->m", w, P), P[:, :n + 1]
+            A, V = _hankel(np.einsum("k,km->m", w, P)), P[:, :n + 1]
         else:
             moments, V = _blocked_moments(xs, w, lam, n)
+            A = _hankel(moments)
         rhs = V.T @ (w * ys)
     try:
-        coeffs, cond = solve_normal_equations(_hankel(moments), rhs)
+        coeffs, cond = solve_normal_equations(A, rhs)
     except ConditioningError:
-        if np.isfinite(moments).all() and np.isfinite(rhs).all():
-            raise
-        raise DomainError(
-            f"the discrete normal equations overflow: max x = {float(np.max(xs)):.6g} "
-            f"with lambda = {lam} and degree {n} puts a sum of w * x^(k*lambda), "
-            f"k <= {2 * n}, or of w * y * x^(i*lambda) past the float range") from None
+        x_max, w_max = float(np.max(xs)), float(np.max(w))
+        if not np.isfinite(A).all():  # A holds every moment
+            raise DomainError(
+                f"the discrete normal equations overflow: max x = {x_max:.6g} with "
+                f"lambda = {lam} and degree {n} puts a moment sum of w * x^(k*lambda), "
+                f"k <= {2 * n}, past the float range (max w = {w_max:.6g})") from None
+        if not np.isfinite(rhs).all():
+            raise DomainError(
+                f"the discrete normal equations overflow: max |y| = "
+                f"{float(np.max(np.abs(ys))):.6g} with max w = {w_max:.6g} puts a "
+                f"right-hand-side sum of w * y * x^(i*lambda), i <= {n}, past the float "
+                f"range (max x = {x_max:.6g}, lambda = {lam}, degree {n})") from None
+        raise
     return coeffs, cond, V @ coeffs
 
 

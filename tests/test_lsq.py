@@ -599,11 +599,17 @@ def test_large_discrete_fit_holds_v_plus_one_block():
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_discrete_fit_is_one_domain_error(capfd):
-    # x^(4 lam) of 1e200 is past the float range: no numpy warning and no
-    # LAPACK message (printed at the C level) before the error
-    xs = np.linspace(1e200, 2e200, 50)
-    with pytest.raises(DomainError, match=r"max x = 2e\+200 with lambda = 1.0 and "
-                                          r"degree 2"):
-        fit_discrete_normal(DataSet(xs, np.sin(np.arange(50.0))), 1.0, 2)
+@pytest.mark.parametrize("xs, ys, match", [
+    # x^(4 lam) of 1e200 puts the moments past the float range
+    (np.linspace(1e200, 2e200, 50), np.sin(np.arange(50.0)),
+     r"max x = 2e\+200 with lambda = 1.0 and degree 2 puts a moment sum"),
+    # bounded x, but 10^4 values of y near 1e305 sum past it in w * y
+    (np.linspace(0.0, 1.0, 10**4), np.full(10**4, 1e305),
+     r"max \|y\| = 1e\+305 with max w = 1 puts a right-hand-side sum"),
+], ids=["moments", "rhs"])
+def test_overflowing_discrete_fit_is_one_domain_error(xs, ys, match, capfd):
+    # no numpy warning and no LAPACK message (printed at the C level) before
+    # the error
+    with pytest.raises(DomainError, match=match):
+        fit_discrete_normal(DataSet(xs, ys), 1.0, 2)
     assert capfd.readouterr() == ("", "")

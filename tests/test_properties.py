@@ -182,8 +182,8 @@ def test_projection_and_normal_equations_agree(case):
 
 #: on nested ladders the discrete error may rise with the degree only by
 #: rounding: at most NESTED_C * cond * eps of sum w y^2, cond the larger
-#: fit's estimate; random scans of 7,000 draws of this kind (n <= 5) saw one
-#: rise, of 0.004
+#: fit's estimate; 10,000 draws of this strategy and 10,000 uniform random
+#: draws of this kind (n <= 5) saw no rise
 NESTED_C = 16
 
 
