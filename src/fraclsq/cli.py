@@ -25,7 +25,7 @@ from .lsq import DataSet, add_noise, fit_continuous_normal, fit_discrete_normal,
 from .orthobasis import WeightSpec, build_continuous, build_discrete
 from .pricing import GbmConfig, LsmcJob, price_american_put
 from .reproduce import TABLE_JOBS, run_table
-from . import quadrature as quad
+from . import lsq, orthobasis, quadrature as quad
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -409,7 +409,7 @@ def build_parser():
     fit.add_argument("--method", choices=("normal", "projection"), default="normal")
     fit.add_argument("--weight", default="unit",
                      help="unit or jacobi:bl:br (continuous projection fits)")
-    fit.add_argument("--quad-points", type=int, default=64)
+    fit.add_argument("--quad-points", type=int, default=lsq.DEFAULT_QUAD_POINTS)
     fit.add_argument("--predict", help="comma-separated abscissae to predict")
     fit.add_argument("--out", help="write the JSON result document here")
     fit.add_argument("--curve-out", help="write fitted-curve samples (CSV x,y_fit)")
@@ -421,7 +421,7 @@ def build_parser():
     orth.add_argument("--weight", default="unit", help="unit or jacobi:bl:br")
     orth.add_argument("--interval", default="0:1")
     orth.add_argument("--points-file", help="discrete mode: one abscissa per line")
-    orth.add_argument("--quad-points", type=int, default=96)
+    orth.add_argument("--quad-points", type=int, default=orthobasis.DEFAULT_QUAD_POINTS)
     orth.add_argument("--out")
     orth.set_defaults(run=cmd_orthpoly)
 

@@ -4,9 +4,9 @@ One check per argument kind, so every entry point rejects bad input with
 the same `DomainError` and no copy can drift:
 
 * :func:`check_lambda` -- the ladder step lam in (0, 2];
-* :func:`check_integer` -- counts, seeds and sizes (numpy integers pass,
-  floats do not, even integral ones);
-* :func:`check_degree` -- a ladder degree n, an integer in [least, limit];
+* :func:`check_degree` -- ladder degrees, counts, seeds and sizes: an
+  integer in [least, limit] (numpy integers pass, floats do not, even
+  integral ones);
 * :func:`check_abscissae` -- points where x^lam is taken: finite and >= 0;
 * :func:`check_weights` -- data and inner-product weights: finite and > 0.
 
@@ -66,14 +66,6 @@ def check_lambda(lam):
     """Raise DomainError unless the ladder step ``lam`` lies in (0, 2]."""
     if not 0 < lam <= 2:
         raise DomainError(f"lambda must lie in (0, 2], got {lam}")
-
-
-def check_integer(value, noun):
-    """``value`` as a Python int; floats (even integral ones) are rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{noun} must be an integer, got {value!r}") from None
 
 
 def check_degree(n, limit=None, *, least=0, noun="degree index"):

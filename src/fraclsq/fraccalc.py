@@ -76,18 +76,16 @@ class FracFunction:
 
     @classmethod
     def from_terms(cls, pairs):
-        """Collect (coefficient, exponent) pairs, merging equal exponents."""
-        acc = {}
+        """Collect (coefficient, exponent) pairs, merging equal exponents
+        (summed by ``_merge``)."""
+        pairs = list(pairs)
         for c, e in pairs:
             if not (math.isfinite(c) and math.isfinite(e)):
                 raise DomainError(f"terms must be finite, got {c} * x^{e}")
-            e = _key(e)
-            if e < 0:
-                raise DomainError(f"exponents must be >= 0, got {e}")
-            acc[e] = acc.get(e, 0.0) + float(c)
-            if not math.isfinite(acc[e]):  # equal exponents summed past the float range
-                raise DomainError(f"terms must be finite, got {acc[e]} * x^{e}")
-        return cls(tuple(sorted((e, c) for e, c in acc.items() if c != 0.0)))
+            if _key(e) < 0:
+                raise DomainError(f"exponents must be >= 0, got {_key(e)}")
+        exps, M = _merge(1, [([e for _, e in pairs], [[float(c) for c, _ in pairs]])])
+        return cls(tuple(zip(exps, M[0].tolist())))
 
     @property
     def coeff_pairs(self):
@@ -115,10 +113,12 @@ class FracFunction:
         return FracFunction.from_terms(self.coeff_pairs + other.coeff_pairs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _merge(rows, blocks):
     """(exps, M): (exponents, matrix) blocks summed into the first rows of a
-    ``rows``-row matrix, per keyed exponent from 0.0 in block order as
-    ``from_terms`` sums; all-zero columns drop."""
+    ``rows``-row matrix, per keyed exponent from 0.0 in block order; all-zero
+    columns drop, and ``exps`` is a tuple.  A sum past the float range is a
+    DomainError naming the first such entry by row, then exponent."""
     keyed = [[_key(e) for e in es] for es, _ in blocks]
     exps = sorted(set().union(*keyed))
     col = {e: a for a, e in enumerate(exps)}
@@ -129,9 +129,10 @@ def _merge(rows, blocks):
         i, a = np.argwhere(~np.isfinite(M))[0]
         raise DomainError(f"terms must be finite, got {M[i, a]} * x^{exps[a]}")
     live = M.any(axis=0)
-    return [e for e, on in zip(exps, live) if on], M[:, live]
+    return tuple(e for e, on in zip(exps, live) if on), M[:, live]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _merge names a sum past the float range
 def _image(prob, exps, C, ic=False):
     """The ``_merge`` blocks of the operator of ``prob`` on every row of C over
     ``exps``, plus each row's constant when ``ic``.  A Caputo term sends column
@@ -164,8 +165,6 @@ def caputo_derivative(p, alpha):
     nonnegative-exponent representation and are rejected, unless the
     12-decimal exponent keying puts nu - alpha at 0.
     """
-    if not 0 < alpha < 1:
-        raise DomainError(f"Caputo order must lie in (0, 1), got {alpha}")
     return apply_operator(FdeProblem(terms=((alpha, 1.0),)), p)
 
 
@@ -207,16 +206,12 @@ def apply_operator(prob, p):
     return FracFunction(tuple(zip(exps, M[0].tolist())))
 
 
-def _lattice(exps):
-    """(Q, W, L): the kernel 1/(e_a + e_b + 1) on the sorted ``exps`` in ints.
-    With e_a = P_a / Q exactly (Q the largest power-of-two denominator) it is
-    Q / s_ab, s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
-    W[a][b] = L // s_ab, in tuples of Python ints.  Cached on the exponents."""
-    return _lattice_of(tuple(exps))
-
-
 @lru_cache(maxsize=LATTICE_CACHE)
-def _lattice_of(exps):
+def _lattice(exps):
+    """(Q, W, L): the kernel 1/(e_a + e_b + 1) on the sorted tuple ``exps`` in
+    ints.  With e_a = P_a / Q exactly (Q the largest power-of-two denominator)
+    it is Q / s_ab, s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
+    W[a][b] = L // s_ab, in tuples of Python ints.  Cached on the exponents."""
     ratios = [e.as_integer_ratio() for e in exps]
     Q = max((q for _, q in ratios), default=1)
     P = [p * (Q // q) for p, q in ratios]
@@ -246,23 +241,20 @@ def _exact_gram(A, lattice):
     return N, L * K * K
 
 
+@lru_cache(maxsize=BASIS_CACHE)
 def _basis(lam, n, kind):
     """(exps, C): the ladder exponents and one coefficient row per rung, as a
-    tuple and a read-only array; cached on (float lam, n, kind)."""
+    tuple and a read-only array; cached on (lam, n, kind), so callers pass
+    lam as a float."""
     if kind not in ("monomial", "muntz_legendre"):
         raise DomainError(f"unknown basis kind {kind!r}")
-    return _basis_of(float(lam), n, kind)
-
-
-@lru_cache(maxsize=BASIS_CACHE)
-def _basis_of(lam, n, kind):
     C = np.eye(n + 1)
     if kind == "muntz_legendre":
         for i in range(n + 1):
             C[i, :i + 1] = muntz_legendre_coeffs(i, lam).coeffs
     exps, C = _merge(n + 1, [([i * lam for i in range(n + 1)], C)])
     C.flags.writeable = False
-    return tuple(exps), C
+    return exps, C
 
 
 def solve_fde(prob, lam, n, basis_kind="monomial"):
@@ -286,7 +278,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
                           "reaction are 0")
 
     # blocks of Psi[i] = L[phi_i] + phi_i(0): each rung's image plus its IC constant
-    blocks = _image(prob, *_basis(lam, n, basis_kind), ic=True)
+    blocks = _image(prob, *_basis(float(lam), n, basis_kind), ic=True)
 
     try:
         if isinstance(prob.rhs, FracFunction) and prob.hi == 1.0:
@@ -295,6 +287,12 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
             exps, A = _merge(n + 2, [*blocks, (Fe, np.vstack([np.zeros((n + 1, len(Fc))), Fc]))])
             lattice = _lattice(exps)
             N, D = _exact_gram(A, lattice)
+            if max(N[i][i] for i in range(len(N))) > int(np.finfo(float).max) * D:
+                big = max([abs(c) for _, c in prob.terms], default=0.0)
+                raise DomainError(  # every |N[i][j]| <= the largest N[i][i]
+                    f"the exact residual normal equations overflow the float range "
+                    f"(largest |term coefficient| = {big:.6g}, |reaction| = "
+                    f"{abs(prob.reaction):.6g}, |y0| = {abs(prob.initial_value):.6g})")
             Gd = np.array([[v / D for v in row] for row in N[:-1]])
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConditioningError, DomainError, UsageError, check_abscissae,
-                     check_degree, check_integer, check_lambda, check_weights)
+                     check_degree, check_lambda, check_weights)
 from .fracpoly import FractionalPolynomial, muntz_legendre_coeffs, muntz_legendre_rungs
 from .orthobasis import OrthogonalBasis
 from .solvers import solve_normal_equations
@@ -111,13 +111,8 @@ class FitResult:
     def __post_init__(self):
         check_lambda(self.lam)
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.error < 0 and self.error > -1e-12:
-            object.__setattr__(self, "error", 0.0)  # tiny negative from roundoff
         if self.error < 0:
             raise DomainError(f"least-squares error cannot be negative: {self.error}")
-
-    def __call__(self, x):
-        return predict(self, x)
 
 
 def _monomial_values(lam, n, x):
@@ -324,8 +319,7 @@ def add_noise(data, percent, seed):
     Deterministic for a fixed seed, a non-negative integer; percent = 0
     returns the data unchanged.
     """
-    if check_integer(seed, "noise seed") < 0:
-        raise DomainError(f"noise seed must be >= 0, got {seed}")
+    check_degree(seed, noun="noise seed")
     if not np.isfinite(percent):
         raise DomainError(f"noise percent must be finite, got {percent}")
     if percent < 0:

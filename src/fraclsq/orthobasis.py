@@ -165,6 +165,7 @@ def _distinct(pts):
     return not (s[1:] == s[:-1]).any()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _recurrence(points, w, lam, n, mode, lo, hi):
     t = points**lam
     rows = np.empty((n + 1,) + points.shape)
@@ -185,6 +186,10 @@ def _recurrence(points, w, lam, n, mode, lo, hi):
             _rung(rows, t, Bs, Cs, i)
             np.multiply(w, rows[i], out=u)
             sq.append(float(np.sum(np.multiply(u, rows[i], out=u))))
+        if not all(map(math.isfinite, (sq[i], *Bs[-1:], *Cs[-1:]))):  # B_i, C_i, <L_i, L_i>
+            raise DomainError(f"the basis recurrence overflows: max point = "
+                              f"{float(np.max(points)):.6g} with lambda = {lam} and degree "
+                              f"{n} puts rung {i}'s B, C or squared norm past the float range")
         if sq[i] <= DEGENERACY_THRESHOLD:
             raise DegeneracyError(
                 f"degenerate norm at index {i}: {sq[i]:.3e}", index=i

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConditioningError, DomainError, check_abscissae, check_degree,
-                     check_integer, check_lambda)
+                     check_lambda)
 from .lsq import _discrete_fit
 
 __all__ = ["GbmConfig", "LsmcJob", "PriceResult", "simulate_paths",
@@ -47,9 +47,9 @@ class GbmConfig:
     grid has ``steps`` exercise dates after time zero, and steps*paths may
     not exceed ``PATH_STEP_BUDGET``.  sigma**2 enters the drift, so sigma may
     not exceed sqrt(float max), about 1.34e154, and a negative rate may not
-    make the per-step discount exp(-r*horizon/steps) overflow.  ``steps``,
-    ``paths`` and the non-negative ``seed`` are integers (numpy integers are
-    accepted).
+    make the per-step discount exp(-r*horizon/steps) overflow.  ``steps``
+    and ``paths`` are integers >= 1 and ``seed`` one >= 0 (numpy integers
+    are accepted).
     """
 
     s0: float
@@ -61,10 +61,9 @@ class GbmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "paths", "seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("steps", 1), ("paths", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               check_degree(getattr(self, name), least=least, noun=name))
         for name in ("s0", "r", "sigma", "horizon"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -76,8 +75,6 @@ class GbmConfig:
             raise DomainError(f"volatility squared overflows, got sigma = {self.sigma}")
         if self.horizon <= 0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1 or self.paths < 1:
-            raise DomainError("need at least one step and one path")
         _discount(self.r, self.horizon / self.steps)
         if self.steps * self.paths > PATH_STEP_BUDGET:
             raise DomainError(

@@ -146,13 +146,20 @@ def integrate(rule, f):
     return float(sample(f, rule.nodes) @ rule.weights)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frac_moment(lo, hi, s):
     """Closed form of integral of x^s over [lo, hi]: (hi^(s+1)-lo^(s+1))/(s+1)."""
     if s <= -1:
         raise DomainError(f"moment exponent must exceed -1, got {s}")
     if not 0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-    return (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
+    try:
+        moment = (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
+    except OverflowError:  # float ** raises where numpy gives inf
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise DomainError(f"the moment of x^{s} on [{lo}, {hi}] is past the float range")
+    return moment
 
 
 def substituted_rule(m, step, hi=1.0):
@@ -165,8 +172,6 @@ def substituted_rule(m, step, hi=1.0):
     """
     if not 0 < step <= 2:
         raise DomainError(f"substitution step must lie in (0, 2], got {step}")
-    if step == 1.0:
-        return gauss_legendre(m, 0.0, hi)
     base = gauss_jacobi(m, 1.0 / step - 1.0, 0.0, 0.0, 1.0)
     nodes = hi * base.nodes ** (1.0 / step)
     weights = (hi / step) * base.weights

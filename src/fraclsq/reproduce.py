@@ -14,16 +14,13 @@ import numpy as np
 from .errors import UsageError
 from .fraccalc import fde_abs_error, solve_fde
 from .functions import POPULATION_ORDER, lookup, multi_term_problem, single_term_problem
-from .lsq import DataSet, add_noise, fit_continuous_normal, fit_discrete_normal, \
-    fit_projection, predict
+from .lsq import DEFAULT_QUAD_POINTS, DataSet, add_noise, fit_continuous_normal, \
+    fit_discrete_normal, fit_projection, predict
 from .orthobasis import build_discrete
 from .pricing import GbmConfig, LsmcJob, price_american_put, simulate_paths
 from . import quadrature as quad
 
 __all__ = ["CheckRow", "TABLE_JOBS", "run_table"]
-
-#: quadrature points of the continuous-fit table
-T1_QUAD_POINTS = 64
 
 #: uniform abscissae seed for the 20-point data set of the discrete-fit table
 #: (the reference used an unpublished uniform draw on [10, 20]; this seed's
@@ -86,8 +83,8 @@ def reproduce_t1():
         1.5: ((0.1388, 2.5269, -0.7126), 8.78e-4),
     }
     for lam, (coeffs_ref, err_ref) in cases.items():
-        rule = quad.ladder_rule(T1_QUAD_POINTS, target.exponents + (lam, 2 * lam), 0.0, 1.0,
-                                fallback_step=lam)
+        rule = quad.ladder_rule(DEFAULT_QUAD_POINTS, target.exponents + (lam, 2 * lam), 0.0,
+                                1.0, fallback_step=lam)
         fit = fit_continuous_normal(target, 0.0, 1.0, lam, 2, rule=rule)
         if lam == 0.75:
             for i, c in enumerate(coeffs_ref):

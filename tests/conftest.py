@@ -22,7 +22,7 @@ settings.load_profile("property")
 @pytest.fixture
 def cold_plans():
     """The cached plan builders, each emptied: (rules, bases, lattices)."""
-    caches = (quadrature._ladder_rule, fraccalc._basis_of, fraccalc._lattice_of)
+    caches = (quadrature._ladder_rule, fraccalc._basis, fraccalc._lattice)
     for cache in caches:
         cache.cache_clear()
     return caches

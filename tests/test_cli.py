@@ -296,6 +296,37 @@ def test_fit_overflowing_moments_is_one_error_line(tmp_path, capfd):
     assert err.count("\n") == 1
 
 
+_BIG = ["--lambda", "1", "--degree", "3", "--interval", "0:1e200"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args,message", [
+    (["fit", "--function", "x15", *_BIG],
+     "the moment of x^1.0 on [0.0, 1e+200] is past the float range"),
+    (["fit", "--function", "x15", *_BIG, "--method", "projection"],
+     "the basis recurrence overflows: max point = "),
+    (["orthpoly", *_BIG], "the basis recurrence overflows: max point = "),
+    (["fit", "--input", "{big}", "--lambda", "1", "--degree", "2", "--method", "projection"],
+     "the basis recurrence overflows: max point = 4e+200 with lambda = 1.0 and degree 2"),
+    (["solve-fde", "--alphas", "0.5", "--term-coeffs", "1e308", "--rhs", "x15",
+      "--lambda", "0.5", "--degree", "3"],
+     "the exact residual normal equations overflow the float range (largest |term "
+     "coefficient| = 1e+308, |reaction| = 0, |y0| = 0)"),
+    (["solve-fde", "--alphas", "0.5", "--rhs", "x15", "--lambda", "0.5", "--degree", "3",
+      "--y0", "1e308"],
+     "the exact residual normal equations overflow the float range (largest |term "
+     "coefficient| = 1, |reaction| = 0, |y0| = 1e+308)"),
+])
+def test_results_past_the_float_range_are_one_error_line(args, message, tmp_path, capfd):
+    # exit 2 with one line: no traceback, no numpy warning, no NaN in the JSON
+    big = tmp_path / "big.csv"
+    write_csv(big, [f"{k}e200,{k}" for k in range(1, 5)])
+    code = main([a.format(big=big) for a in args])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # orthpoly
 # ---------------------------------------------------------------------------
@@ -719,7 +750,8 @@ def test_python_m_fraclsq_help(tmp_path):
 def test_negative_seed_is_input_error(args, sales_csv, capsys):
     code, out, err = run_cli([a.format(csv=sales_csv) for a in args], capsys)
     assert code == 2
-    assert out == "" and "seed must be >= 0" in err
+    assert out == "" and err.endswith("seed must be an integer >= 0, got -1\n")
+    assert err.count("\n") == 1
 
 
 _DEGREE_MESSAGE = "error: degree index must be an integer >= 0, got -1\n"

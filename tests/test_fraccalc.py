@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fraclsq import (
     DegeneracyError,
@@ -293,10 +293,78 @@ def test_frac_function_rejects_nonfinite_terms(pair):
         FracFunction.from_terms([(1.0, 0.0), pair])
 
 
+@pytest.mark.filterwarnings("error")
 def test_frac_function_rejects_merged_terms_that_overflow():
     with pytest.raises(DomainError, match=r"terms must be finite, got inf \* x\^0.5"):
         FracFunction.from_terms([(1e308, 0.5), (1e308, 0.5)])
+    # every pair is checked before any is summed: the bad pair is named
+    with pytest.raises(DomainError, match=r"got nan \* x\^1"):
+        FracFunction.from_terms([(1e308, 0.5), (1e308, 0.5), (math.nan, 1.0)])
     assert FracFunction.from_terms([(1e308, 0.5), (-1e308, 0.5)]).terms == ()
+
+
+def _dict_sum_terms(pairs):
+    """The terms of ``from_terms`` summed the way it did before it called
+    ``_merge``: one dict entry per keyed exponent, in pair order, each pair
+    checked and each running sum checked as it is added."""
+    acc = {}
+    for c, e in pairs:
+        if not (math.isfinite(c) and math.isfinite(e)):
+            raise DomainError(f"terms must be finite, got {c} * x^{e}")
+        e = fraccalc._key(e)
+        if e < 0:
+            raise DomainError(f"exponents must be >= 0, got {e}")
+        acc[e] = acc.get(e, 0.0) + float(c)
+        if not math.isfinite(acc[e]):
+            raise DomainError(f"terms must be finite, got {acc[e]} * x^{e}")
+    return tuple(sorted((e, c) for e, c in acc.items() if c != 0.0))
+
+
+def _from_terms_error(pairs):
+    """The message ``from_terms`` raises: the first bad pair, else the sum
+    past the float range at the smallest exponent (the dict sum named the
+    first bad pair or running sum it reached, which differs only when a
+    sum overflows before a bad pair, or at two exponents)."""
+    for c, e in pairs:
+        if not (math.isfinite(c) and math.isfinite(e)):
+            return f"terms must be finite, got {c} * x^{e}"
+        if fraccalc._key(e) < 0:
+            return f"exponents must be >= 0, got {fraccalc._key(e)}"
+    sums = {}
+    for c, e in pairs:
+        sums[fraccalc._key(e)] = sums.get(fraccalc._key(e), 0.0) + float(c)
+    e = min(k for k, v in sums.items() if not math.isfinite(v))
+    return f"terms must be finite, got {sums[e]} * x^{e}"
+
+
+_TERM_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,
+                     math.inf]),
+    st.floats(min_value=-4.0, max_value=4.0), st.floats(allow_nan=False))
+_TERM_EXPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 0.5, 0.5 + 1e-14, 1.5, -0.5, math.nan]),
+    st.integers(min_value=0, max_value=12).map(lambda k: k / 4),
+    st.floats(min_value=0.0, max_value=30.0))
+#: pairs with repeated keys, and now and then each pair again with -c (cancellation)
+_TERM_PAIRS = st.tuples(st.lists(st.tuples(_TERM_COEFFS, _TERM_EXPONENTS), max_size=10),
+                        st.booleans()).map(
+    lambda t: t[0] + [(-c, e) for c, e in t[0]] if t[1] else t[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # "error" would also catch
+@settings(max_examples=400)                            # hypothesis's own reporting
+@given(_TERM_PAIRS)
+def test_from_terms_sums_as_the_dict_sum_did(pairs):
+    try:
+        want = _dict_sum_terms(pairs)
+    except DomainError:
+        with pytest.raises(DomainError) as info:
+            FracFunction.from_terms(pairs)
+        assert str(info.value) == _from_terms_error(pairs)
+        return
+    got = FracFunction.from_terms(iter(pairs)).terms
+    assert all(type(e) is float and type(c) is float for e, c in got)
+    assert [(e.hex(), c.hex()) for e, c in got] == [(e.hex(), c.hex()) for e, c in want]
 
 
 @pytest.mark.parametrize("basis_kind", ["monomial", "muntz_legendre"])
@@ -309,6 +377,44 @@ def test_zero_operator_is_a_domain_error(basis_kind, terms, reaction):
         solve_fde(prob, 0.5, 3, basis_kind=basis_kind)
     # the check is the solver's: the operator itself still maps to zero
     assert apply_operator(prob, FracFunction.from_terms([(1.0, 1.0)])).terms == ()
+
+
+_GRAM_OVERFLOW = "the exact residual normal equations overflow the float range"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis_kind", ["monomial", "muntz_legendre"])
+@pytest.mark.parametrize("kw,named", [
+    ({"terms": ((0.5, 1e300),)},
+     "largest |term coefficient| = 1e+300, |reaction| = 0, |y0| = 0"),
+    ({"terms": ((0.5, 1.0),), "initial_value": -1e308},
+     "largest |term coefficient| = 1, |reaction| = 0, |y0| = 1e+308"),
+    ({"terms": (), "reaction": 1e200},
+     "largest |term coefficient| = 0, |reaction| = 1e+200, |y0| = 0"),
+])
+def test_exact_gram_past_the_float_range_is_a_domain_error(kw, named, basis_kind):
+    prob = FdeProblem(rhs=FracFunction.from_terms([(1.0, 1.5)]), **kw)
+    with pytest.raises(DomainError) as info:
+        solve_fde(prob, 0.5, 3, basis_kind=basis_kind)
+    assert str(info.value) == f"{_GRAM_OVERFLOW} ({named})"
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_gram_inside_the_float_range_still_solves():
+    # y = 1e150 + x: D^0.25 y = x^0.75 / Gamma(1.75), and |F|^2 is about 1e300
+    y = FracFunction.from_terms([(1e150, 0.0), (1.0, 1.0)])
+    bare = FdeProblem(terms=((0.25, 1.0),))
+    prob = replace(bare, rhs=apply_operator(bare, y), initial_value=1e150)
+    fit = solve_fde(prob, 0.5, 3)
+    assert fit.coeffs[0] == pytest.approx(1e150, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_operator_image_past_the_float_range_is_one_domain_error():
+    # Gamma(2.5) / Gamma(2) * 1e308 is finite; times the coefficient 10 it is not
+    with pytest.raises(DomainError, match=r"^terms must be finite, got inf \* x\^1.0$"):
+        apply_operator(FdeProblem(terms=((0.5, 10.0),)),
+                       FracFunction.from_terms([(1e308, 1.5)]))
 
 
 def test_quadrature_path_rejects_nonfinite_rhs():
@@ -352,7 +458,7 @@ def _matrix(fs, exps=None):
 def _gram(fs, gs):
     """(N, D) of <f_i, g_j>: the block of the exact Gram matrix of fs and gs."""
     exps, A = _matrix([*fs, *gs])
-    N, D = _exact_gram(A, _lattice(exps))
+    N, D = _exact_gram(A, _lattice(tuple(exps)))
     return [row[len(fs):] for row in N[:len(fs)]], D
 
 
@@ -384,13 +490,13 @@ def test_exact_gram_of_empty_functions_is_zero():
     assert _as_fractions(_gram([empty, empty],
                                [FracFunction.from_terms([(2.0, 0.3)])])) == [[0], [0]]
     # no rows at all, and rows over no exponents
-    assert _exact_gram(np.zeros((0, 2)), _lattice([0.0, 0.5]))[0] == []
-    assert _as_fractions(_exact_gram(np.zeros((2, 0)), _lattice([]))) == [[0, 0], [0, 0]]
+    assert _exact_gram(np.zeros((0, 2)), _lattice((0.0, 0.5)))[0] == []
+    assert _as_fractions(_exact_gram(np.zeros((2, 0)), _lattice(()))) == [[0, 0], [0, 0]]
 
 
 def test_exact_gram_of_constant_and_power():
     # the rows 1 and x over the exponents 0 and 1
-    assert _as_fractions(_exact_gram(np.eye(2), _lattice([0.0, 1.0]))) == [
+    assert _as_fractions(_exact_gram(np.eye(2), _lattice((0.0, 1.0)))) == [
         [1, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
 
 
@@ -400,8 +506,8 @@ def test_exact_gram_on_a_larger_lattice_is_the_same_rational():
     gs = _random_functions(rng, 2, [0.25, 0.7, 2.45])
     exps, A = _matrix([*fs, *gs])
     wide, B = _matrix([*fs, *gs], sorted([*exps, 0.125, 3.65]))  # two zero columns
-    got = _as_fractions(_exact_gram(B, _lattice(wide)))
-    assert got == _as_fractions(_exact_gram(A, _lattice(exps)))
+    got = _as_fractions(_exact_gram(B, _lattice(tuple(wide))))
+    assert got == _as_fractions(_exact_gram(A, _lattice(tuple(exps))))
     assert got == _pairwise_gram([*fs, *gs], [*fs, *gs])
 
 
@@ -438,7 +544,7 @@ def _fraction_gram(exps, A):
 @given(_lattice_rows())
 def test_exact_gram_equals_the_fraction_gram_on_random_lattices(case):
     exps, A = case
-    assert _as_fractions(_exact_gram(A, _lattice(exps))) == _fraction_gram(exps, A)
+    assert _as_fractions(_exact_gram(A, _lattice(tuple(exps)))) == _fraction_gram(exps, A)
 
 
 def _rung_images(prob, lam, n, kind):

@@ -340,6 +340,14 @@ def test_predict_rejects_nonfinite_x(bad):
             predict(f, bad)
 
 
+@pytest.mark.parametrize("error", [-1e-13, -5e-324, -1.0])
+def test_fit_result_refuses_any_negative_error(error):
+    # every route's error is a sum of non-negative terms or an exact integral
+    # of a square, so no roundoff can make it negative
+    with pytest.raises(DomainError, match="cannot be negative"):
+        FitResult("monomial", 0.5, [1.0], error, 1.0)
+
+
 def test_predict_muntz_legendre_is_the_coefficient_sum():
     rng = np.random.default_rng(11)
     xs = np.linspace(0.0, 1.0, 101)
@@ -379,8 +387,8 @@ def test_add_noise_identity_and_determinism():
 
 
 @pytest.mark.parametrize("seed,match", [
-    (-1, "must be >= 0"), (1.5, "must be an integer"), (2.0, "must be an integer"),
-    (None, "must be an integer"),
+    (-1, "must be an integer >= 0"), (1.5, "must be an integer"),
+    (2.0, "must be an integer"), (None, "must be an integer"),
 ])
 def test_add_noise_rejects_bad_seeds(seed, match):
     data = DataSet([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])

@@ -121,6 +121,27 @@ def test_degeneracy_raises_with_index():
     assert err.value.index == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight,lam", [
+    (WeightSpec.unit(0.0, 1e200), 1.0), (WeightSpec.jacobi(0.0, -0.5, 0.0, 1e200), 0.5),
+    (WeightSpec.unit(1e100, 1e200), 1.0), (WeightSpec.unit(0.0, 1e200), 2.0),
+])
+def test_continuous_recurrence_past_the_float_range_is_a_domain_error(weight, lam):
+    with pytest.raises(DomainError, match=rf"^the basis recurrence overflows: max point = "
+                       rf"\S+ with lambda = {lam} and degree 3 puts rung \d's B, C or "
+                       rf"squared norm past the float range$"):
+        build_continuous(weight, lam, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_discrete_recurrence_past_the_float_range_names_max_point_lambda_and_degree():
+    with pytest.raises(DomainError) as info:
+        build_discrete(None, [3e200, 1e200, 4e200, 2e200], 1.0, 2)
+    assert str(info.value) == ("the basis recurrence overflows: max point = 4e+200 with "
+                               "lambda = 1.0 and degree 2 puts rung 1's B, C or squared "
+                               "norm past the float range")
+
+
 # ---------------------------------------------------------------------------
 # discrete construction
 # ---------------------------------------------------------------------------

@@ -109,8 +109,8 @@ def test_repeat_calls_return_the_same_objects(cold_plans):
     assert ladder_rule(np.int64(16), [np.float64(0.5)], 0, 1) is rule
     assert fraccalc._basis(0.5, 4, "muntz_legendre") is fraccalc._basis(0.5, 4,
                                                                           "muntz_legendre")
-    exps = [0.0, 0.25, 0.5]
-    assert fraccalc._lattice(exps) is fraccalc._lattice(tuple(exps))
+    exps = (0.0, 0.25, 0.5)
+    assert fraccalc._lattice(exps) is fraccalc._lattice(tuple(list(exps)))  # an equal key
 
 
 def test_cached_arrays_are_read_only(cold_plans):
@@ -121,7 +121,7 @@ def test_cached_arrays_are_read_only(cold_plans):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert isinstance(exps, tuple)
-    Q, W, L = fraccalc._lattice(list(exps))
+    Q, W, L = fraccalc._lattice(exps)
     assert isinstance(W, tuple) and all(isinstance(row, tuple) for row in W)
     # a basis built on a cached rule holds its read-only nodes
     assert not build_continuous(WeightSpec(), 0.5, 3).points.flags.writeable
@@ -137,7 +137,7 @@ def test_caches_stay_within_their_bounds(cold_plans):
     for k in range(fraccalc.BASIS_CACHE + 10):
         fraccalc._basis(0.25 + k / 64, 2, "monomial")
     for k in range(fraccalc.LATTICE_CACHE + 10):
-        fraccalc._lattice([0.0, (k + 1) / 128])
+        fraccalc._lattice((0.0, (k + 1) / 128))
     for cache in cold_plans:
         info = cache.cache_info()
         assert info.currsize == info.maxsize

@@ -166,6 +166,14 @@ def test_gbm_config_rejects_bad_integers(field, bad):
         _cfg(**{field: bad})
 
 
+@pytest.mark.parametrize("field,bad,least", [("steps", 0, 1), ("paths", 0, 1),
+                                             ("seed", -1, 0), ("steps", 60.0, 1)])
+def test_gbm_config_integer_messages_state_the_rule(field, bad, least):
+    with pytest.raises(DomainError) as info:
+        _cfg(**{field: bad})
+    assert str(info.value) == f"{field} must be an integer >= {least}, got {bad!r}"
+
+
 def test_gbm_config_accepts_numpy_integers():
     cfg = _cfg(steps=np.int64(60), paths=np.int32(2000), seed=np.uint64(1))
     assert (cfg.steps, cfg.paths, cfg.seed) == (60, 2000, 1)

@@ -150,6 +150,21 @@ def test_frac_moment_examples():
         frac_moment(0, 1, -1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo,hi,s", [
+    (0.0, 1e200, 1.0), (0.0, 1e200, 5.5), (1e200, 2e200, 2.0),
+    (np.float64(0.0), np.float64(1e200), np.float64(1.0)),  # numpy gives inf, not an error
+])
+def test_frac_moment_past_the_float_range_is_a_domain_error(lo, hi, s):
+    with pytest.raises(DomainError) as info:
+        frac_moment(lo, hi, s)
+    assert str(info.value) == f"the moment of x^{s} on [{lo}, {hi}] is past the float range"
+
+
+def test_frac_moment_at_the_edge_of_the_float_range_is_finite():
+    assert frac_moment(0.0, 1e154, 1.0) == 1e154 ** 2 / 2
+
+
 # ---------------------------------------------------------------------------
 # substitution machinery
 # ---------------------------------------------------------------------------
@@ -160,6 +175,22 @@ def test_substituted_rule_fractional_exactness(lam):
     for s in range(0, 20):
         got = integrate(rule, lambda x: x ** (s * lam))
         assert got == pytest.approx(frac_moment(0, 1, s * lam), rel=1e-12)
+
+
+#: point counts and right ends of the step-1 grid: m = 1..40 and the large
+#: counts, hi from 1e-150 to 1e150
+_STEP_ONE_M = [*range(1, 41), 64, 96, 128, 200, 256]
+_STEP_ONE_HI = [1e-150, 1e-50, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e50, 1e150]
+
+
+@pytest.mark.parametrize("hi", _STEP_ONE_HI)
+def test_substituted_rule_at_step_one_is_gauss_legendre_bit_for_bit(hi):
+    # the x^1 substitution is the identity: its general branch gives the
+    # Gauss-Legendre rule on [0, hi] to the last bit
+    for m in _STEP_ONE_M:
+        got, want = substituted_rule(m, 1.0, hi), gauss_legendre(m, 0.0, hi)
+        assert (got.nodes.tobytes(), got.weights.tobytes(), got.lo, got.hi) == \
+            (want.nodes.tobytes(), want.weights.tobytes(), want.lo, want.hi), m
 
 
 def test_substituted_rule_scaled_interval():
