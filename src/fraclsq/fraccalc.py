@@ -257,6 +257,52 @@ def _basis(lam, n, kind):
     return exps, C
 
 
+def _overflow(prob, route):
+    """The DomainError of a ``route`` whose normal equations leave the float
+    range, naming the problem's largest magnitudes."""
+    big = max([abs(c) for _, c in prob.terms], default=0.0)
+    return DomainError(
+        f"the {route} residual normal equations overflow the float range (largest "
+        f"|term coefficient| = {big:.6g}, |reaction| = {abs(prob.reaction):.6g}, "
+        f"|y0| = {abs(prob.initial_value):.6g})")
+
+
+def _quadrature_solve(prob, blocks, n):
+    """(coeffs, cond, error) of ``solve_fde``'s quadrature route: the rows of
+    Psi and F sampled at a rule's nodes, solved and scored by ``lsq``'s
+    float core.  A value past the float range on the way is ``_overflow``."""
+    try:
+        exps, Psi = _merge(n + 1, blocks)
+    except DomainError:  # a coefficient of Psi past the float range
+        raise _overflow(prob, "quadrature") from None
+    # the x^step substitution makes the residual integrands exactly
+    # polynomial when the operator images share an exponent step
+    rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
+    x, w = rule.nodes, rule.weights
+    fvals = quad.sample(prob.rhs, x)  # the caller's function keeps its warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals = fvals + prob.initial_value
+        # Psi's rows at the nodes, summed as FracFunction.__call__ sums
+        M = np.zeros((len(x), n + 1))
+        for e, psi in zip(exps, Psi.T):
+            nz = psi != 0
+            M[:, nz] += np.multiply.outer(x**e, psi[nz])
+        A = (M * w[:, None]).T @ M
+        try:
+            coeffs, cond, fitted = _normal_solve(A, M, fvals, w, allow_semidefinite=True)
+        except ConditioningError:
+            # a finite system with a positive diagonal fails only when its
+            # solution lies past the float range
+            finite = np.isfinite(A).all() and np.isfinite(M.T @ (w * fvals)).all()
+            if finite and (A.diagonal() <= 0).any():
+                raise
+            raise _overflow(prob, "quadrature") from None
+    try:
+        return coeffs, cond, _sse(fvals, fitted, w)
+    except DomainError:
+        raise _overflow(prob, "quadrature") from None
+
+
 def solve_fde(prob, lam, n, basis_kind="monomial"):
     """Minimize the integrated squared residual over the degree-n ladder.
 
@@ -265,9 +311,10 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
     With a FracFunction right-hand side on [0, 1], all normal-equation
     entries are exact rational moments; otherwise a quadrature rule samples
     the residual and ``lsq``'s float core solves and scores it.  Either
-    route raises DegeneracyError when its normal equations are singular; a
-    zero operator (every term coefficient and the reaction 0) raises
-    DomainError.
+    route raises DegeneracyError when its normal equations are singular, and
+    one DomainError naming the largest |term coefficient|, |reaction| and
+    |y0| when they leave the float range; a zero operator (every term
+    coefficient and the reaction 0) raises DomainError.
     """
     check_lambda(lam)
     n = check_degree(n, MAX_FDE_SIZE - 1)
@@ -284,15 +331,15 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
         if isinstance(prob.rhs, FracFunction) and prob.hi == 1.0:
             # A = [Psi; F], F = rhs + y0, on one lattice that also scores the residual
             Fe, Fc = zip(*prob.rhs.terms, (0.0, prob.initial_value))
-            exps, A = _merge(n + 2, [*blocks, (Fe, np.vstack([np.zeros((n + 1, len(Fc))), Fc]))])
+            try:
+                exps, A = _merge(n + 2, [*blocks,
+                                         (Fe, np.vstack([np.zeros((n + 1, len(Fc))), Fc]))])
+            except DomainError:  # a coefficient of Psi or F past the float range
+                raise _overflow(prob, "exact") from None
             lattice = _lattice(exps)
             N, D = _exact_gram(A, lattice)
             if max(N[i][i] for i in range(len(N))) > int(np.finfo(float).max) * D:
-                big = max([abs(c) for _, c in prob.terms], default=0.0)
-                raise DomainError(  # every |N[i][j]| <= the largest N[i][i]
-                    f"the exact residual normal equations overflow the float range "
-                    f"(largest |term coefficient| = {big:.6g}, |reaction| = "
-                    f"{abs(prob.reaction):.6g}, |y0| = {abs(prob.initial_value):.6g})")
+                raise _overflow(prob, "exact")  # every |N[i][j]| <= the largest N[i][i]
             Gd = np.array([[v / D for v in row] for row in N[:-1]])
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
@@ -303,20 +350,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
             N, D = _exact_gram(r[None], lattice)
             error = N[0][0] / D
         else:
-            exps, Psi = _merge(n + 1, blocks)
-            # the x^step substitution makes the residual integrands exactly
-            # polynomial when the operator images share an exponent step
-            rule = quad.ladder_rule(quad.MAX_POINTS // 2, exps, 0.0, prob.hi)
-            x, w = rule.nodes, rule.weights
-            fvals = quad.sample(prob.rhs, x) + prob.initial_value
-            # Psi's rows at the nodes, summed as FracFunction.__call__ sums
-            M = np.zeros((len(x), n + 1))
-            for e, psi in zip(exps, Psi.T):
-                nz = psi != 0
-                M[:, nz] += np.multiply.outer(x**e, psi[nz])
-            coeffs, cond, fitted = _normal_solve((M * w[:, None]).T @ M, M, fvals, w,
-                                                 allow_semidefinite=True)
-            error = _sse(fvals, fitted, w)
+            coeffs, cond, error = _quadrature_solve(prob, blocks, n)
     except ConditioningError as exc:
         raise DegeneracyError(f"residual normal equations are singular: {exc}") from exc
     return FitResult(basis_kind, lam, coeffs, error, cond, 0.0, prob.hi)

@@ -15,18 +15,20 @@ system (1 for the projection route).
 
 It is also the float least-squares core of every sampled route (``solve_fde``'s
 quadrature path and LSMC too): :func:`_normal_solve` solves the quadrature
-routes, :func:`_sse` scores.  :func:`_discrete_fit` is the discrete route on
-plain arrays, which LSMC calls once per exercise date with no DataSet or
-FitResult around it.
+routes, :func:`_sse` scores, block by block, with no temporary per point.
+:func:`_discrete_fit` is the discrete route on plain arrays, which LSMC calls
+once per exercise date with no DataSet or FitResult around it.
 
 A discrete fit sums the moments sum(w * x^(k lam)), k <= 2n, but keeps only
-V = x^(i lam), i <= n.  Past ``_BLOCK_ROWS`` points at n >= 3 it sums them
+V = x^(i lam), i <= n.  Past ``_BLOCK_ROWS`` points (``orthobasis``'s block
+size, one for every sweep over many points) at n >= 3 it sums them
 block by block and never holds the N x (2n+1) power table, with the bits of
 one table.  Three layout hazards keep the other fits on one table: a
 contiguous V (n <= 2), a one-column einsum (n = 0) and a one-column exponent
 array (numpy's sqrt/square fast path at lam = 0.5 and 2).
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import (ConditioningError, DomainError, UsageError, check_abscissae,
                      check_degree, check_lambda, check_weights)
 from .fracpoly import FractionalPolynomial, muntz_legendre_coeffs, muntz_legendre_rungs
-from .orthobasis import OrthogonalBasis
+from .orthobasis import _BLOCK_ROWS, OrthogonalBasis, _block_len, _pairwise_sum
 from .solvers import solve_normal_equations
 from . import quadrature as quad
 
@@ -52,8 +54,6 @@ __all__ = [
 
 MAX_CONTINUOUS_SIZE = 20  # n+1 cap for the continuous normal equations
 DEFAULT_QUAD_POINTS = 64
-#: points per block of a large discrete fit's x^(k lam) powers (1.7 MB at n = 6)
-_BLOCK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,9 @@ class DataSet:
         return len(self.xs)
 
     def weight_array(self):
-        return np.ones_like(self.xs) if self.weights is None else self.weights
+        """The weights; unit weights are a read-only stride-0 view of one 1.0,
+        so an unweighted fit holds no array of ones."""
+        return np.broadcast_to(1.0, self.xs.shape) if self.weights is None else self.weights
 
 
 @dataclass(frozen=True)
@@ -136,9 +138,29 @@ def _normal_solve(A, V, ys, w, **solver_options):
 
 
 def _sse(ys, fitted, w):
-    """sum(w * (ys - fitted)^2), the error of every sampled route."""
-    resid = ys - fitted
-    return float(np.sum(w * resid * resid))
+    """sum(w * (ys - fitted)^2), the error of every sampled route.
+
+    The products (w r) r, r = ys - fitted, are formed in two block buffers
+    of at most ``_BLOCK_ROWS`` points, and ``_pairwise_sum`` adds them as
+    ``np.sum`` adds the whole array, bit for bit, with no temporary as long
+    as ys.  An error past the float range is a DomainError naming max |y|
+    and max w."""
+    r, p = np.empty(_block_len(len(ys))), np.empty(_block_len(len(ys)))
+
+    def block(a, b):
+        rb, pb = r[:b - a], p[:b - a]
+        np.subtract(ys[a:b], fitted[a:b], out=rb)
+        np.multiply(w[a:b], rb, out=pb)
+        return np.add.reduce(np.multiply(pb, rb, out=pb))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = float(_pairwise_sum(len(ys), block))
+    if not math.isfinite(error):
+        raise DomainError(
+            f"the least-squares error overflows: max |y| = {float(np.max(np.abs(ys))):.6g} "
+            f"with max w = {float(np.max(w)):.6g} puts the sum of w * (y - fit)^2 past "
+            f"the float range")
+    return error
 
 
 def fit_continuous_normal(y, lo, hi, lam, n, rule=None):

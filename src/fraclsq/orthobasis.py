@@ -35,6 +35,13 @@ DEGENERACY_THRESHOLD = 1e-14
 
 DEFAULT_QUAD_POINTS = 96
 
+#: points per block of every sweep over many points: the basis recurrence,
+#: the fit errors and a large discrete fit's x^(k lam) powers
+_BLOCK_ROWS = 2**14
+#: numpy's pairwise sum adds up to this many values in one unrolled loop
+#: (its PW_BLOCKSIZE) and splits only longer runs
+_NUMPY_RUN = 128
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -82,6 +89,8 @@ class OrthogonalBasis:
     The basis owns ``points`` and ``ip_weights``: ``build_discrete`` keeps
     the caller's float64 arrays without copying them, so writing to them
     afterwards silently invalidates B, C, the norms and ``point_rungs``.
+    Unit weights (``build_discrete(None, ...)``) are a read-only stride-0
+    view of one 1.0, not an array of ones.
     """
 
     lam: float
@@ -165,27 +174,62 @@ def _distinct(pts):
     return not (s[1:] == s[:-1]).any()
 
 
+def _block_len(n):
+    """Length of the longest block ``_pairwise_sum`` hands its kernel for n
+    values: the size of a sweep's block buffers."""
+    return min(n, max(_BLOCK_ROWS, _NUMPY_RUN))
+
+
+def _pairwise_sum(n, kernel, a=0):
+    """Sum of n values as ``np.sum`` adds their whole array, bit for bit,
+    from ``kernel(a, b)``: the ``np.add.reduce`` (``np.sum``'s own reduction)
+    of values a..b-1, or a tuple of such sums, added elementwise.  It takes
+    numpy's own pairwise split, halves rounded down to a multiple of 8, down
+    to blocks of at most ``_BLOCK_ROWS`` values, which the reduction adds as
+    it would inside the whole array; runs of up to ``_NUMPY_RUN`` values,
+    which numpy never splits, stay whole."""
+    if n == _block_len(n):
+        return kernel(a, a + n)
+    half = n // 2 - n // 2 % 8
+    # np.add, not +, so that tuples of sums add elementwise
+    return np.add(_pairwise_sum(half, kernel, a), _pairwise_sum(n - half, kernel, a + half))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _recurrence(points, w, lam, n, mode, lo, hi):
+    """The basis of degree n at (points, w), by one sweep per rung.
+
+    Sweep i runs over blocks of at most ``_BLOCK_ROWS`` points: ``_rung``
+    fills the block of row i, and two block buffers hold the products the
+    rung needs, each associated as the whole-array expression was:
+    (w L_i) L_i for <L_i, L_i>, and ((w t) L_i) L_{i-1} and ((w t) L_i) L_i
+    for C_{i+1} and B_{i+1}.  ``_pairwise_sum`` adds the block sums as
+    ``np.sum`` adds whole arrays, so every constant keeps its bits and no
+    array as long as the points is made besides t and the rung table.
+    Rung i's constants are checked before B_{i+1} and C_{i+1} divide by
+    its squared norm."""
     t = points**lam
     rows = np.empty((n + 1,) + points.shape)
     rows[0] = 1.0
-    u = np.empty_like(t)
-    sq = [float(np.sum(w))]
-    Bs, Cs = [], []
-    for i in range(n + 1):
+    p, q = np.empty(_block_len(len(t))), np.empty(_block_len(len(t)))
+    sq, Bs, Cs = [], [], []
+
+    def block(a, b):  # (<L_i, L_i>, B_{i+1} <L_i, L_i>, C_{i+1} <L_{i-1}, L_{i-1}>)
+        R, pb, qb = rows[:, a:b], p[:b - a], q[:b - a]
         if i >= 1:
-            # u = w t L_{i-1}: C_i sums u L_{i-2} and B_i sums u L_{i-1}, as
-            # w * t * L_{i-1} * L_{i-2} associates; row i is scratch until
-            # _rung, and w t is not kept (it would be one more array of points)
-            np.multiply(w, t, out=u)
-            u *= rows[i - 1]
-            if i >= 2:
-                Cs.append(float(np.sum(np.multiply(u, rows[i - 2], out=rows[i]))) / sq[i - 2])
-            Bs.append(float(np.sum(np.multiply(u, rows[i - 1], out=u))) / sq[i - 1])
-            _rung(rows, t, Bs, Cs, i)
-            np.multiply(w, rows[i], out=u)
-            sq.append(float(np.sum(np.multiply(u, rows[i], out=u))))
+            _rung(R, t[a:b], Bs, Cs, i)
+        np.multiply(w[a:b], R[i], out=pb)
+        sq_b = np.add.reduce(np.multiply(pb, R[i], out=pb))
+        if i == n:
+            return sq_b, 0.0, 0.0
+        np.multiply(w[a:b], t[a:b], out=pb)
+        pb *= R[i]
+        c_b = np.add.reduce(np.multiply(pb, R[i - 1], out=qb)) if i >= 1 else 0.0
+        return sq_b, np.add.reduce(np.multiply(pb, R[i], out=pb)), c_b
+
+    for i in range(n + 1):
+        sq_i, b_sum, c_sum = _pairwise_sum(len(t), block)
+        sq.append(float(sq_i))
         if not all(map(math.isfinite, (sq[i], *Bs[-1:], *Cs[-1:]))):  # B_i, C_i, <L_i, L_i>
             raise DomainError(f"the basis recurrence overflows: max point = "
                               f"{float(np.max(points)):.6g} with lambda = {lam} and degree "
@@ -194,6 +238,10 @@ def _recurrence(points, w, lam, n, mode, lo, hi):
             raise DegeneracyError(
                 f"degenerate norm at index {i}: {sq[i]:.3e}", index=i
             )
+        if i < n:
+            if i >= 1:
+                Cs.append(float(c_sum) / sq[i - 1])
+            Bs.append(float(b_sum) / sq[i])
     basis = OrthogonalBasis(
         lam=lam, B=tuple(Bs), C=tuple(Cs), sq_norms=tuple(sq), mode=mode,
         points=points, ip_weights=w, lo=lo, hi=hi,
@@ -222,11 +270,12 @@ def build_continuous(weight, lam, n, quad_points=DEFAULT_QUAD_POINTS):
 def build_discrete(weight_values, points, lam, n):
     """Monic basis orthogonal under the weighted sum over the given points.
 
-    ``weight_values`` may be None for the unit weight, else finite and
-    positive.  Needs at least n+1 distinct points, all finite and >= 0.
-    The basis keeps float64 ``points`` and ``weight_values`` arrays as they
-    are, without a copy (a copy would cost 8 MB per array at 10^6 points):
-    do not write to them while the basis is in use.
+    ``weight_values`` may be None for the unit weight (kept as a read-only
+    stride-0 view), else finite and positive.  Needs at least n+1 distinct
+    points, all finite and >= 0.  The basis keeps float64 ``points`` and
+    ``weight_values`` arrays as they are, without a copy (a copy would cost
+    8 MB per array at 10^6 points): do not write to them while the basis
+    is in use.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or len(pts) == 0:
@@ -241,7 +290,7 @@ def build_discrete(weight_values, points, lam, n):
         )
     check_lambda(lam)
     if weight_values is None:
-        w = np.ones_like(pts)
+        w = np.broadcast_to(1.0, pts.shape)
     else:
         w = np.asarray(weight_values, dtype=float)
         if w.shape != pts.shape:

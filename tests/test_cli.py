@@ -327,6 +327,38 @@ def test_results_past_the_float_range_are_one_error_line(args, message, tmp_path
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+_FDE_OVERFLOW = ("residual normal equations overflow the float range (largest |term "
+                 "coefficient| = 1e+308, |reaction| = 0, |y0| = 0)")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args,message", [
+    (["fit", "--input", "{big_y}", "--lambda", "0.5", "--degree", "2"],
+     "the least-squares error overflows: max |y| = 2e+300 with max w = 1 puts the sum "
+     "of w * (y - fit)^2 past the float range"),
+    (["fit", "--input", "{big_y}", "--lambda", "0.5", "--degree", "2", "--method",
+      "projection"],
+     "the least-squares error overflows: max |y| = 2e+300 with max w = 1 puts the sum "
+     "of w * (y - fit)^2 past the float range"),
+    # the Muntz-Legendre rungs put Psi itself past the float range
+    (["solve-fde", "--alphas", "0.5", "--term-coeffs", "1e308", "--rhs", "x15",
+      "--lambda", "0.5", "--degree", "3", "--basis", "muntz_legendre"],
+     f"the exact {_FDE_OVERFLOW}"),
+    # a right-hand side that is no power sum takes the quadrature route
+    (["solve-fde", "--alphas", "0.5", "--term-coeffs", "1e308", "--rhs", "ml-population",
+      "--lambda", "0.5", "--degree", "3"],
+     f"the quadrature {_FDE_OVERFLOW}"),
+])
+def test_fit_errors_and_both_fde_routes_past_the_float_range_are_one_error_line(
+        args, message, tmp_path, capfd):
+    big_y = tmp_path / "big_y.csv"
+    write_csv(big_y, [f"{k / 4},{1 + k / 4}e300" for k in range(5)])
+    code = main([a.format(big_y=big_y) for a in args])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # orthpoly
 # ---------------------------------------------------------------------------

@@ -400,6 +400,30 @@ def test_exact_gram_past_the_float_range_is_a_domain_error(kw, named, basis_kind
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis_kind", ["monomial", "muntz_legendre"])
+@pytest.mark.parametrize("kw,named", [
+    ({"terms": ((0.5, 1e308),)},
+     "largest |term coefficient| = 1e+308, |reaction| = 0, |y0| = 0"),
+    ({"terms": ((0.5, 1.0),), "initial_value": 1e308},
+     "largest |term coefficient| = 1, |reaction| = 0, |y0| = 1e+308"),
+    ({"terms": ((0.5, 1.0),), "reaction": -1e308},
+     "largest |term coefficient| = 1, |reaction| = 1e+308, |y0| = 0"),
+    ({"terms": ((0.5, 1e300),)},
+     "largest |term coefficient| = 1e+300, |reaction| = 0, |y0| = 0"),
+], ids=["term", "y0", "reaction", "term_1e300"])
+@pytest.mark.parametrize("route", ["exact", "quadrature"])
+def test_either_route_past_the_float_range_is_one_domain_error(route, kw, named,
+                                                               basis_kind):
+    # on the way: Psi or F past the float range when merged, the sampled
+    # normal equations, their solution or the sampled error
+    rhs = FracFunction.from_terms([(1.0, 1.0)]) if route == "exact" else (lambda x: x)
+    with pytest.raises(DomainError) as info:
+        solve_fde(FdeProblem(rhs=rhs, **kw), 0.5, 3, basis_kind=basis_kind)
+    assert str(info.value) == (f"the {route} residual normal equations overflow the "
+                               f"float range ({named})")
+
+
+@pytest.mark.filterwarnings("error")
 def test_exact_gram_inside_the_float_range_still_solves():
     # y = 1e150 + x: D^0.25 y = x^0.75 / Gamma(1.75), and |F|^2 is about 1e300
     y = FracFunction.from_terms([(1e150, 0.0), (1.0, 1.0)])

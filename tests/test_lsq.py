@@ -621,3 +621,90 @@ def test_overflowing_discrete_fit_is_one_domain_error(xs, ys, match, capfd):
     with pytest.raises(DomainError, match=match):
         fit_discrete_normal(DataSet(xs, ys), 1.0, 2)
     assert capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# fit errors in blocks: the bits of one sum, and no temporary per point
+# ---------------------------------------------------------------------------
+
+def _whole_array_sse(ys, fitted, w):
+    """The error as one np.sum over whole arrays: the reference of ``_sse``."""
+    resid = ys - fitted
+    return float(np.sum(w * resid * resid))
+
+
+@pytest.mark.parametrize("block", [16, 256])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("size", [1, 7, 8, 15, 16, 17, 33, 129, 1000, 4097])
+def test_sse_has_the_bits_of_one_sum(size, weighted, block, monkeypatch):
+    monkeypatch.setattr(orthobasis, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(size)
+    ys = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+    fitted = ys + rng.standard_normal(size)
+    w = rng.uniform(0.5, 2.0, size) if weighted else np.broadcast_to(1.0, size)
+    assert lsq._sse(ys, fitted, w).hex() == _whole_array_sse(ys, fitted, w).hex()
+
+
+def _tracemalloc_peak(fn):
+    fn()  # warm up
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_SWEEP_POINTS = 2 * 10**5
+
+
+def _unweighted_data():
+    rng = np.random.default_rng(5)
+    xs = np.sort(rng.uniform(0.0, 1.0, _SWEEP_POINTS))
+    return DataSet(xs, np.exp(xs) + 0.01 * rng.standard_normal(len(xs)))
+
+
+def test_unweighted_projection_holds_no_temporary_per_point():
+    data, n = _unweighted_data(), 4
+    peak = _tracemalloc_peak(
+        lambda: fit_projection(data, build_discrete(None, data.xs, 0.5, n)))
+    # t and the rung table while building; the table, w * ys and then the
+    # fitted values while projecting; two block buffers.  One more array of
+    # points (1.5 MiB) would break the 0.5 MiB slack.
+    assert peak <= 8 * _SWEEP_POINTS * (n + 2) + 2 * 8 * orthobasis._BLOCK_ROWS + 2**19
+
+
+def test_unweighted_discrete_fit_holds_no_temporary_per_point():
+    data, n = _unweighted_data(), 6
+    peak = _tracemalloc_peak(lambda: fit_discrete_normal(data, 0.5, n))
+    # V, with one block of 2n + 1 powers, then w * ys, then the fitted values
+    block = 8 * (lsq._BLOCK_ROWS + 1) * (2 * n + 1)
+    assert peak <= 8 * _SWEEP_POINTS * (n + 1) + max(8 * _SWEEP_POINTS, block) + 2**19
+
+
+def test_unit_weight_array_is_a_read_only_stride_0_view():
+    data = _unweighted_data()
+    w = data.weight_array()
+    assert w.shape == data.xs.shape and w.strides == (0,) and not w.flags.writeable
+    assert (w == 1.0).all() and data.weights is None
+
+
+_BIG_XS = np.linspace(0.0, 1.0, 50)
+_BIG_DATA = DataSet(_BIG_XS, np.full(50, 1e300))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fit, max_w", [
+    (lambda: fit_continuous_normal(lambda x: 1e300 * np.ones_like(x), 0.0, 1.0, 0.5, 3),
+     "0.0313922"),  # the largest weight of the 64-point rule
+    (lambda: fit_discrete_normal(_BIG_DATA, 0.5, 3), "1"),
+    (lambda: fit_projection(_BIG_DATA, build_discrete(None, _BIG_XS, 0.5, 3)), "1"),
+], ids=["continuous_normal", "discrete_normal", "projection"])
+def test_fit_error_past_the_float_range_is_one_domain_error(fit, max_w, capfd):
+    # no numpy warning first, and no error = inf
+    with pytest.raises(DomainError) as info:
+        fit()
+    assert str(info.value) == (
+        f"the least-squares error overflows: max |y| = 1e+300 with max w = {max_w} puts "
+        f"the sum of w * (y - fit)^2 past the float range")
+    assert capfd.readouterr() == ("", "")

@@ -13,6 +13,7 @@ from fraclsq import (
     build_discrete,
     frac_moment,
 )
+from fraclsq import orthobasis
 
 
 def _poly_vals(poly, xs):
@@ -412,3 +413,101 @@ def test_stieltjes_constants_match_the_closed_form(lam, b):
     np.testing.assert_allclose(basis.B, B, rtol=1e-10, atol=0)
     np.testing.assert_allclose(basis.C, C, rtol=1e-10, atol=0)
     np.testing.assert_allclose(basis.sq_norms, sq, rtol=1e-10, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the recurrence in blocks: the bits of whole-array sums
+# ---------------------------------------------------------------------------
+
+@np.errstate(over="ignore", invalid="ignore")
+def _whole_array_recurrence(points, w, lam, n):
+    """(B, C, squared norms, rung table) by the recurrence over whole arrays,
+    one np.sum per product: the reference the block sweep must match."""
+    t = points**lam
+    rows = np.empty((n + 1,) + points.shape)
+    rows[0] = 1.0
+    sq, Bs, Cs = [float(np.sum(w))], [], []
+    for i in range(n + 1):
+        if i >= 1:
+            u = w * t * rows[i - 1]
+            if i >= 2:
+                Cs.append(float(np.sum(u * rows[i - 2])) / sq[i - 2])
+            Bs.append(float(np.sum(u * rows[i - 1])) / sq[i - 1])
+            rows[i] = (t - Bs[-1]) * rows[i - 1]
+            if i >= 2:
+                rows[i] -= Cs[-1] * rows[i - 2]
+            sq.append(float(np.sum(w * rows[i] * rows[i])))
+        if not all(map(math.isfinite, (sq[i], *Bs[-1:], *Cs[-1:]))):
+            raise DomainError(f"the basis recurrence overflows: max point = "
+                              f"{float(np.max(points)):.6g} with lambda = {lam} and degree "
+                              f"{n} puts rung {i}'s B, C or squared norm past the float range")
+        if sq[i] <= orthobasis.DEGENERACY_THRESHOLD:
+            raise DegeneracyError(f"degenerate norm at index {i}: {sq[i]:.3e}", index=i)
+    return Bs, Cs, sq, rows
+
+
+def _same_build(points, w, lam, n, build):
+    """``build()`` gives the reference's constants and rung table bit for bit,
+    or raises the reference's error."""
+    try:
+        want = _whole_array_recurrence(points, w, lam, n)
+    except (DegeneracyError, DomainError) as exc:
+        with pytest.raises(type(exc)) as info:
+            build()
+        assert str(info.value) == str(exc)
+        return
+    basis = build()
+    got = (basis.B, basis.C, basis.sq_norms)
+    assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in want[:3]]
+    assert basis.point_rungs.tobytes() == want[3].tobytes()
+
+
+@pytest.mark.parametrize("block", [16, 256])
+@pytest.mark.parametrize("lam", [0.08, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("size", [1, 7, 8, 15, 16, 17, 33, 129, 1000, 4097])
+def test_discrete_sweep_has_the_bits_of_whole_array_sums(size, weighted, lam, block,
+                                                         monkeypatch):
+    monkeypatch.setattr(orthobasis, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(size)
+    xs = np.sort(rng.uniform(0.0, 2.0, size))
+    xs[0] = 0.0
+    w = rng.uniform(0.5, 2.0, size) if weighted else np.broadcast_to(1.0, size)
+    for n in range(9):
+        # called directly: size 1 also runs, to the degenerate rung 1
+        _same_build(xs, w, lam, n, lambda: orthobasis._recurrence(
+            xs, w, lam, n, "discrete", float(xs.min()), float(xs.max())))
+
+
+@pytest.mark.parametrize("lam", [0.08, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("weight", [WeightSpec.unit(), WeightSpec.jacobi(0.5, -0.5)],
+                         ids=["unit", "jacobi"])
+def test_continuous_sweep_has_the_bits_of_whole_array_sums(weight, lam, monkeypatch):
+    monkeypatch.setattr(orthobasis, "_BLOCK_ROWS", 16)
+    # the build's own rule; past 128 nodes the sums are split
+    rule = orthobasis.quad.ladder_rule(200, (lam,), weight.lo, weight.hi, lam,
+                                       weight.beta_left, weight.beta_right)
+    for n in range(9):
+        _same_build(rule.nodes, rule.weights, lam, n,
+                    lambda: build_continuous(weight, lam, n, quad_points=200))
+
+
+@pytest.mark.parametrize("size", [1, 2**14, 2**14 + 1, 2**15 + 7, 10**5 + 3, 10**6,
+                                  3 * 10**6])
+def test_pairwise_sum_is_numpys_sum(size):
+    # a numpy that changed its summation order would fail here first
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+    got = orthobasis._pairwise_sum(size, lambda a, b: np.add.reduce(x[a:b]))
+    assert float(got).hex() == float(np.sum(x)).hex()
+    pair = orthobasis._pairwise_sum(size, lambda a, b: (np.add.reduce(x[a:b]),
+                                                        np.add.reduce(-x[a:b])))
+    assert [float(v).hex() for v in pair] == [float(np.sum(x)).hex(),
+                                              float(np.sum(-x)).hex()]
+
+
+def test_unit_weights_are_a_read_only_stride_0_view():
+    basis = build_discrete(None, np.linspace(0.0, 1.0, 50), 0.5, 3)
+    w = basis.ip_weights
+    assert w.shape == (50,) and w.strides == (0,) and not w.flags.writeable
+    assert (w == 1.0).all()
