@@ -143,16 +143,21 @@ def simulate_paths(cfg):
     drawn ``_BLOCK_PATHS`` whole paths at a time into one reused block, which
     takes the Philox stream in the order of one (paths, steps) draw, so a job
     holds the result plus one block: 80 MB at the path-step budget, where a
-    full-size draw beside the result peaked at 160 MB.  A price that
-    overflows raises DomainError; one that underflows to 0 is kept.
+    full-size draw beside the result peaked at 160 MB.  Each block's
+    log-increments are copied into the date-major buffer, and their running
+    sums are then one add per date over all paths: cumsum's own order, with
+    numpy's loop running over the paths instead of along each path's few
+    dates.  A price that overflows raises DomainError; one that underflows
+    to 0 is kept.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     dates = np.empty((cfg.steps + 1, cfg.paths))
     dates[0] = cfg.s0
+    logs = dates[1:]
     block = np.empty((min(_BLOCK_PATHS, cfg.paths), cfg.steps))
-    # each block becomes the log-increments, their running sums and the prices
-    # in place, every entry rounded as in s0 * exp(cumsum(drift + vol * z));
-    # an overflow leaves inf (or nan from inf - inf), caught below
+    # the log-increments become their running sums and then the prices in
+    # place, every entry rounded as in s0 * exp(cumsum(drift + vol * z)); an
+    # overflow leaves inf (or nan from inf - inf), caught below
     with np.errstate(over="ignore", invalid="ignore"):
         dt = cfg.horizon / cfg.steps
         vol = cfg.sigma * np.sqrt(dt)
@@ -162,15 +167,17 @@ def simulate_paths(cfg):
             rng.standard_normal(out=z)
             z *= vol
             z += drift
-            np.cumsum(z, axis=1, out=z)
-            np.exp(z, out=z)
-            z *= cfg.s0
-            if not np.isfinite(z).all():
-                raise DomainError(
-                    f"simulated prices overflow: s0 = {cfg.s0}, r = {cfg.r}, "
-                    f"sigma = {cfg.sigma} and horizon = {cfg.horizon} drive a path "
-                    f"past the float range")
-            dates[1:, a:a + len(z)] = z.T
+            logs[:, a:a + len(z)] = z.T
+        for k in range(1, cfg.steps):
+            np.add(logs[k - 1], logs[k], out=logs[k])
+        np.exp(logs, out=logs)
+        logs *= cfg.s0
+        # prices are >= 0, so the largest is inf or nan when any is
+        if not np.isfinite(logs.max()):
+            raise DomainError(
+                f"simulated prices overflow: s0 = {cfg.s0}, r = {cfg.r}, "
+                f"sigma = {cfg.sigma} and horizon = {cfg.horizon} drive a path "
+                f"past the float range")
     return dates.T
 
 
@@ -217,22 +224,20 @@ def price_american_put(job, paths=None):
     skipped = []
     for t in range(cfg.steps - 1, 0, -1):
         cash *= disc
-        spot = dates[t]
-        intrinsic = strike - spot
-        itm = np.flatnonzero(intrinsic > 0)
+        # spot < strike is exactly strike - spot > 0 for finite prices
+        itm = np.flatnonzero(dates[t] < strike)
         if len(itm) < job.basis_degree + 1:
             skipped.append(t)
             continue
-        ys = cash[itm]
+        spot, ys = dates[t][itm], cash[itm]
         try:
-            continuation = _discrete_fit(spot[itm], ys, np.ones(len(itm)), job.lam,
-                                         job.basis_degree)[2]
+            continuation = _discrete_fit(spot, ys, None, job.lam, job.basis_degree)[2]
         except ConditioningError:
             # all regressors (nearly) identical: best fit is the plain mean
             skipped.append(t)
             continuation = np.full(len(itm), ys.mean())
-        idx = itm[intrinsic[itm] > continuation]
-        cash[idx] = intrinsic[idx]
+        intrinsic = strike - spot
+        cash[itm] = np.where(intrinsic > continuation, intrinsic, ys)
     cash *= disc
 
     price = float(cash.mean())

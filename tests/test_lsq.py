@@ -624,6 +624,113 @@ def test_overflowing_discrete_fit_is_one_domain_error(xs, ys, match, capfd):
 
 
 # ---------------------------------------------------------------------------
+# power tables one column per call, unit weights as None: the same bits
+# ---------------------------------------------------------------------------
+
+#: each of numpy's scalar-exponent fast paths (0.5 -> sqrt, 2.0 -> square)
+#: is a rung of some of these ladders
+_TABLE_LAMBDAS = [0.1, 0.25, 0.4, 0.5, 0.75, 1.0, 1.39, 2.0]
+#: zero, the smallest subnormal, (0, 1e-3], [20, 100] and 1e300, whose
+#: higher powers are inf
+_TABLE_XS = np.concatenate([
+    [0.0, 5e-324, 1e-3, 20.0, 100.0, 1e300],
+    np.random.default_rng(14).uniform(0.0, 1e-3, 500),
+    np.random.default_rng(15).uniform(20.0, 100.0, 500),
+])
+
+
+def _broadcast_table(lam, n, x):
+    """x^(i lam), i <= n, as one broadcast: the reference of the column fill."""
+    return np.asarray(x, dtype=float)[..., None] ** (lam * np.arange(n + 1))
+
+
+def _hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("lam", _TABLE_LAMBDAS)
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 6, 12])
+def test_power_table_has_the_bits_of_one_broadcast(lam, n):
+    with np.errstate(over="ignore"):
+        got = lsq._monomial_values(lam, n, _TABLE_XS)
+        assert got.shape == (len(_TABLE_XS), n + 1)
+        assert _hexes(got) == _hexes(_broadcast_table(lam, n, _TABLE_XS))
+        for x in _TABLE_XS[:6]:
+            # predict's inputs: a scalar becomes a 1-d array of one point
+            for xa in (np.asarray(x), np.atleast_1d(x)):
+                got = lsq._monomial_values(lam, n, xa)
+                assert got.shape == xa.shape + (n + 1,)
+                assert _hexes(got) == _hexes(_broadcast_table(lam, n, xa))
+
+
+@pytest.mark.parametrize("lam", _TABLE_LAMBDAS)
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_predict_has_the_bits_of_one_broadcast_table(lam, n):
+    # positive coefficients, so 1e300's inf powers sum to inf, not nan
+    fit = FitResult("monomial", lam, np.linspace(0.5, 2.0, n + 1), 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        ref = _broadcast_table(lam, n, _TABLE_XS) @ fit.coeffs
+        assert _hexes(predict(fit, _TABLE_XS)) == _hexes(ref)
+        for x in _TABLE_XS[:6]:
+            one = _broadcast_table(lam, n, np.atleast_1d(x)) @ fit.coeffs
+            assert predict(fit, float(x)).hex() == float(one[0]).hex()
+
+
+@pytest.mark.parametrize("lam", _TABLE_LAMBDAS)
+@pytest.mark.parametrize("n", [3, 6])
+def test_blocked_power_table_has_the_bits_of_one_broadcast(lam, n):
+    N = lsq._BLOCK_ROWS + 1  # one full block and a block of one point
+    xs = np.resize(_TABLE_XS, N)
+    with np.errstate(over="ignore"):
+        moments, V = lsq._blocked_moments(xs, np.ones(N), lam, n)
+        P = _broadcast_table(lam, 2 * n, xs)
+        assert _hexes(V) == _hexes(P[:, :n + 1])
+        assert _hexes(moments) == _hexes(np.einsum("k,km->m", np.ones(N), P))
+
+
+@pytest.mark.parametrize("lam", [0.08, 0.5, 0.75, 2.0])
+@pytest.mark.parametrize("n, points", [
+    (0, 7), (0, 1001), (0, 2**15 + 3),  # one einsum column, of ones
+    (1, 7), (2, 1001), (2, 2**15 + 3), (3, 1001),  # one table
+    (3, 2**15 + 3), (6, 2**14 + 1),  # blocked
+])
+def test_unit_weights_as_none_have_the_bits_of_ones(n, points, lam, monkeypatch):
+    blocked = []
+    real = lsq._blocked_moments
+    monkeypatch.setattr(lsq, "_blocked_moments",
+                        lambda *args: blocked.append(args) or real(*args))
+    rng = np.random.default_rng(points + n)
+    xs = rng.uniform(0.0, 2.0, points)
+    xs[0] = 0.0
+    ys = np.exp(-xs) + 0.05 * rng.standard_normal(points)
+    coeffs, cond, fitted = lsq._discrete_fit(xs, ys, None, lam, n)
+    ref_coeffs, ref_cond, ref_fitted = lsq._discrete_fit(xs, ys, np.ones(points), lam, n)
+    assert _hexes(coeffs) == _hexes(ref_coeffs)
+    assert float(cond).hex() == float(ref_cond).hex()
+    assert fitted.tobytes() == ref_fitted.tobytes()
+    assert len(blocked) == 2 * (n >= 3 and points > lsq._BLOCK_ROWS)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs, ys, n, match", [
+    (np.linspace(1e200, 2e200, 50), np.sin(np.arange(50.0)), 2,
+     r"moment sum of .*\(max w = 1\)$"),
+    # the blocked route
+    (np.linspace(1e200, 2e200, 2**14 + 1), np.sin(np.arange(2**14 + 1.0)), 3,
+     r"moment sum of .*\(max w = 1\)$"),
+    (np.linspace(0.0, 1.0, 10**4), np.full(10**4, 1e305), 2,
+     r"max \|y\| = 1e\+305 with max w = 1 puts a right-hand-side sum"),
+], ids=["moments", "blocked_moments", "rhs"])
+def test_unit_weights_as_none_overflow_names_max_w_1(xs, ys, n, match, capfd):
+    with pytest.raises(DomainError, match=match) as none:
+        lsq._discrete_fit(xs, ys, None, 1.0, n)
+    with pytest.raises(DomainError) as ones:
+        lsq._discrete_fit(xs, ys, np.ones(len(xs)), 1.0, n)
+    assert str(none.value) == str(ones.value)
+    assert capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
 # fit errors in blocks: the bits of one sum, and no temporary per point
 # ---------------------------------------------------------------------------
 

@@ -315,6 +315,18 @@ def test_overflowing_paths_are_one_domain_error():
     assert str(own.value) == str(shared.value)
 
 
+def test_some_overflowing_paths_are_one_domain_error():
+    # log price 709.48 + 0.2 z: past log(float max) = 709.78 only where z > 1.5,
+    # so most paths stay finite and the check must still see the others
+    cfg = GbmConfig(s0=1.0, r=709.5, sigma=0.2, horizon=1.0, steps=1, paths=3000)
+    with pytest.raises(DomainError, match=r"simulated prices overflow: s0 = 1\.0, "
+                                          r"r = 709\.5"):
+        simulate_paths(cfg)
+    ok = simulate_paths(GbmConfig(s0=1.0, r=709.0, sigma=0.2, horizon=1.0, steps=1,
+                                  paths=3000))  # z > 4 is needed there: none
+    assert np.isfinite(ok).all()
+
+
 def test_underflowing_paths_keep_zero_prices():
     # a -600 rate takes the second date's prices to about 40 * e^-900, below
     # the smallest float: they underflow to 0, which is kept

@@ -1,5 +1,5 @@
-"""Property tests of the FDE operator and solver, and of the built bases and
-discrete fits (hypothesis, derandomized).
+"""Property tests of the FDE operator and solver, of the built bases and
+discrete fits, and of the LSMC in-the-money test (hypothesis, derandomized).
 
 The examples are drawn from a fixed seed (the suite's ``property`` profile,
 ``conftest.py``), so every run checks the same cases.
@@ -194,3 +194,25 @@ def test_discrete_error_does_not_rise_with_the_degree(case):
     lower, upper = fit_discrete_normal(data, lam, n - 1), fit_discrete_normal(data, lam, n)
     bound = NESTED_C * upper.cond * EPS * np.sum(data.weight_array() * ys**2)
     assert upper.error <= lower.error + bound
+
+
+#: finite floats with the edge values of a subtraction written in: both
+#: zeros, the smallest subnormals and normals, and values whose difference
+#: overflows
+_EDGE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   -2.2250738585072014e-308, 1e308, -1e308]))
+
+
+@settings(max_examples=500)
+@given(st.lists(_EDGE_FLOATS, min_size=1, max_size=40), _EDGE_FLOATS,
+       st.integers(min_value=0, max_value=40))
+def test_in_the_money_compare_is_the_sign_of_the_intrinsic_value(spots, strike, pick):
+    # the pricer selects its paths by spot < strike, not strike - spot > 0;
+    # gradual underflow makes strike - spot zero only when the two are equal
+    spot = np.array(spots)
+    if pick < len(spots):
+        strike = spots[pick]  # a spot equal to the strike, now and then
+    with np.errstate(over="ignore"):  # 1e308 - (-1e308) is inf, still > 0
+        intrinsic_positive = strike - spot > 0
+    assert np.array_equal(spot < strike, intrinsic_positive)
