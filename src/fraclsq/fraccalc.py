@@ -209,12 +209,10 @@ def apply_operator(prob, p):
 @lru_cache(maxsize=LATTICE_CACHE)
 def _lattice(exps):
     """(Q, W, L): the kernel 1/(e_a + e_b + 1) on the sorted tuple ``exps`` in
-    ints.  With e_a = P_a / Q exactly (Q the largest power-of-two denominator)
-    it is Q / s_ab, s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
+    ints.  With e_a = P_a / Q exactly (``_dyadic``'s split) it is Q / s_ab,
+    s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
     W[a][b] = L // s_ab, in tuples of Python ints.  Cached on the exponents."""
-    ratios = [e.as_integer_ratio() for e in exps]
-    Q = max((q for _, q in ratios), default=1)
-    P = [p * (Q // q) for p, q in ratios]
+    (P,), Q = _dyadic(np.array([exps], dtype=float))
     sums = [[a + b + Q for b in P] for a in P]
     distinct = set().union(*sums)
     L = math.lcm(*distinct)

@@ -20,12 +20,10 @@ routes, :func:`_sse` scores, block by block, with no temporary per point.
 once per exercise date with no DataSet or FitResult around it.
 
 A discrete fit sums the moments sum(w * x^(k lam)), k <= 2n, but keeps only
-V = x^(i lam), i <= n.  Past ``_BLOCK_ROWS`` points (``orthobasis``'s block
-size, one for every sweep over many points) at n >= 3 it sums them
-block by block and never holds the N x (2n+1) power table, with the bits of
-one table.  Three layout hazards keep the other fits on one table: a
-contiguous V (n <= 2), a one-column einsum (n = 0) and a one-column exponent
-array (numpy's sqrt/square fast path at lam = 0.5 and 2).
+V = x^(i lam), i <= n.  One sweep does it for every size and degree: past
+``_BLOCK_ROWS`` points (``orthobasis``'s block size, one for every sweep
+over many points) at n >= 3 it never holds the N x (2n+1) power table, and
+every fit has the bits of one table.
 """
 
 import math
@@ -118,24 +116,18 @@ class FitResult:
 
 
 def _monomial_values(lam, n, x, out=None):
-    """Columns x^(i*lam), i = 0..n, into ``out`` if given; IEEE pow gives
-    0^0 = 1 and 0^e = 0.
+    """Columns x^(i*lam), i = 0..n, of 1-d x, into ``out`` if given; IEEE pow
+    gives 0^0 = 1 and 0^e = 0.
 
-    The table is filled one exponent column per np.power call, so numpy's pow
-    loop runs over the points; the broadcast ``x[..., None] ** exps`` runs a
-    5-13-value inner loop per point and is about 30 % slower on the 7000 x 7
-    LSMC table.  Both give the same bits, except that a scalar exponent of
-    0.5 or 2.0 takes numpy's sqrt or square fast path, which rounds
-    differently from pow on about 5 % of points: a table with such an
-    exponent keeps the broadcast."""
-    x = np.asarray(x, dtype=float)
-    exps = lam * np.arange(n + 1)
+    One np.power call per column, so numpy's pow loop runs over the points.
+    A scalar exponent of 0.5 or 2.0 would take numpy's sqrt or square fast
+    path, which rounds differently from pow on about 5 % of points, so such
+    an exponent is passed as an array as long as x: every column has the
+    bits of the broadcast ``x[:, None] ** exps``."""
     if out is None:
-        out = np.empty(x.shape + (n + 1,))
-    if 0.5 in exps or 2.0 in exps:
-        return np.power(x[..., None], exps, out=out)
-    for k, e in enumerate(exps):
-        np.power(x, e, out=out[..., k])
+        out = np.empty((len(x), n + 1))
+    for k, e in enumerate(lam * np.arange(n + 1)):
+        np.power(x, np.full(len(x), e) if e in (0.5, 2.0) else e, out=out[:, k])
     return out
 
 
@@ -222,41 +214,47 @@ def fit_discrete_normal(data, lam, n):
             f"{len(data)} points cannot determine {n + 1} coefficients",
             cond=float("inf"),
         )
-    w = data.weight_array()
-    coeffs, cond, fitted = _discrete_fit(data.xs, data.ys, w, lam, n)
-    return FitResult("monomial", lam, coeffs, _sse(data.ys, fitted, w), cond,
-                     float(np.min(data.xs)), float(np.max(data.xs)))
+    coeffs, cond, fitted = _discrete_fit(data.xs, data.ys, data.weights, lam, n)
+    return FitResult("monomial", lam, coeffs, _sse(data.ys, fitted, data.weight_array()),
+                     cond, float(np.min(data.xs)), float(np.max(data.xs)))
 
 
 def _discrete_fit(xs, ys, w, lam, n):
     """(coeffs, cond, fitted) of the discrete fit on checked arrays (xs >= 0,
     all finite, >= n + 1 points); fitted equals ``predict`` at xs bit for bit.
-    ``w`` None is unit weights with the bits of ``np.ones``: the moments are
-    einsum's plain column sums and the right-hand side is V^T ys, with no
-    weight array and no w * ys.  (At n = 0 einsum's one-column kernel adds
-    in another order, but its one column is x^0 = 1, whose sum is exact.)
 
-    Up to ``_BLOCK_ROWS`` points, or at n <= 2, one x^(k lam) table, k <= 2n,
-    gives the moments and, as a view, V.  A larger fit at n >= 3 sums them
-    block by block (:func:`_blocked_moments`) with the same bits.  Blocking
-    would move bits at n <= 2, where a contiguous V changes V^T (w ys); at
-    n = 0 a one-column einsum would also not add its rows in order, and a
-    one-column exponent array would take numpy's sqrt/square fast path at
-    lam = 0.5 and 2.
+    One sweep sums the moments sum(w * x^(k lam)), k <= 2n, over blocks of
+    ``rows`` points (all of them at n <= 2, else at most ``_BLOCK_ROWS``)
+    filling rows 1.. of one (rows+1) x (2n+1) buffer whose row 0 holds the
+    running sums.  einsum adds rows in order, so from the second block on
+    row 0, weighted 1, carries the sum on; the first block leaves it out,
+    which keeps one einsum's order at n = 0.  With one block, V = x^(i lam),
+    i <= n, is a view of the buffer (a contiguous V would move V^T (w ys) at
+    n <= 2); else V is copied out block by block and the buffer is freed
+    before the solve.  ``w`` None is unit weights with the bits of
+    ``np.ones``: plain column sums and V^T ys.  (At n = 0 einsum's one-column
+    kernel adds in another order, but its column x^0 = 1 sums exactly.)
 
     A moment past the float range is a DomainError naming max x, lam and the
     degree; a right-hand-side entry past it, one naming max |y| and max w."""
+    N = len(xs)
+    rows = N if n < 3 else min(N, _BLOCK_ROWS)
+    buf = np.empty((rows + 1, 2 * n + 1))
+    V = buf[1:, :n + 1] if rows == N else np.empty((N, n + 1))
+    wb = np.ones(rows + 1) if w is not None and rows < N else None
     with np.errstate(over="ignore", invalid="ignore"):
-        if n < 3 or len(xs) <= _BLOCK_ROWS:
-            # A first and no moments kept: LSMC's peak RSS was seen to follow
-            # the order of these small allocations
-            P = _monomial_values(lam, 2 * n, xs)
-            A = _hankel(np.einsum("km->m", P) if w is None
-                        else np.einsum("k,km->m", w, P))
-            V = P[:, :n + 1]
-        else:
-            moments, V = _blocked_moments(xs, w, lam, n)
-            A = _hankel(moments)
+        for a in range(0, N, rows):
+            m = min(rows, N - a)
+            _monomial_values(lam, 2 * n, xs[a:a + m], out=buf[1:m + 1])
+            if w is not None and a:
+                wb[1:m + 1] = w[a:a + m]
+            r = 0 if a else 1  # the first block leaves the running-sum row out
+            ws = () if w is None else (wb[:m + 1] if a else w[:m],)
+            buf[0] = np.einsum("km->m" if w is None else "k,km->m", *ws, buf[r:m + 1])
+            if rows < N:
+                V[a:a + m] = buf[1:m + 1, :n + 1]
+        A = _hankel(buf[0])
+        del buf, wb
         rhs = V.T @ (ys if w is None else w * ys)
     try:
         coeffs, cond = solve_normal_equations(A, rhs)
@@ -275,25 +273,6 @@ def _discrete_fit(xs, ys, w, lam, n):
                 f"range (max x = {x_max:.6g}, lambda = {lam}, degree {n})") from None
         raise
     return coeffs, cond, V @ coeffs
-
-
-def _blocked_moments(xs, w, lam, n):
-    """(moments, V) of :func:`_discrete_fit` from ``_BLOCK_ROWS`` points at a
-    time: each block's x^(k lam) fill rows 1.. of one reused buffer whose row
-    0, weighted 1, carries the running sums, so the einsum, which adds rows
-    in order, continues the one-table sum; V is copied out contiguous.  With
-    ``w`` None the block weights stay the ones they start as."""
-    V = np.empty((len(xs), n + 1))
-    buf = np.zeros((_BLOCK_ROWS + 1, 2 * n + 1))
-    wb = np.ones(_BLOCK_ROWS + 1)
-    for a in range(0, len(xs), _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, len(xs) - a)
-        _monomial_values(lam, 2 * n, xs[a:a + m], out=buf[1:m + 1])
-        if w is not None:
-            wb[1:m + 1] = w[a:a + m]
-        buf[0] = np.einsum("k,km->m", wb[:m + 1], buf[:m + 1])
-        V[a:a + m] = buf[1:m + 1, :n + 1]
-    return buf[0].copy(), V
 
 
 def fit_projection(target, basis):

@@ -929,3 +929,30 @@ def test_scipy_is_imported_only_for_a_jacobi_rule(sales_csv, tmp_path):
     rule = gauss_jacobi(8, 0.0, -0.5)
     assert got["nodes"] == [v.hex() for v in rule.nodes.tolist()]
     assert got["weights"] == [v.hex() for v in rule.weights.tolist()]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit", "--lambda", "1", "--degree", "1"],
+     "fit needs --input CSV or --function NAME"),
+    (["fit", "--function", "x15", "--interval", "0-1", "--lambda", "1", "--degree", "1"],
+     "--interval expects lo:hi, got '0-1'"),
+    *((["fit", "--function", "x15", "--method", "projection", "--weight", weight,
+        "--lambda", "1", "--degree", "1"], message) for weight, message in [
+        ("jacobi:1", "--weight jacobi expects jacobi:bl:br, got 'jacobi:1'"),
+        ("jacobi:a:b", "non-numeric jacobi exponents in 'jacobi:a:b'"),
+        ("foo", "unknown weight 'foo'; use unit or jacobi:bl:br"),
+    ]),
+    (["fit", "--input", "{tmp}/missing.csv", "--lambda", "1", "--degree", "1"],
+     "cannot open {tmp}/missing.csv: [Errno 2] No such file or directory: "
+     "'{tmp}/missing.csv'"),
+    (["orthpoly", "--points-file", "{tmp}/empty.txt", "--lambda", "1", "--degree", "1"],
+     "{tmp}/empty.txt: no points"),
+    (["solve-fde", "--alphas", "0.5", "--term-coeffs", "1,2", "--rhs", "x15",
+      "--lambda", "0.5", "--degree", "2"],
+     "--term-coeffs must match --alphas in length"),
+], ids=["no_input", "interval", "jacobi_one_exponent", "jacobi_non_numeric",
+        "unknown_weight", "missing_input", "empty_points_file", "term_coeffs_length"])
+def test_bad_input_is_one_error_line(args, message, tmp_path, capsys):
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")

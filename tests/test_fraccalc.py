@@ -743,3 +743,11 @@ def test_quadrature_path_is_pinned_bit_for_bit(case):
     assert [float(c).hex() for c in fit.coeffs] == coeffs
     assert float(fit.error).hex() == error
     assert float(fit.cond).hex() == cond
+
+
+@pytest.mark.parametrize("kind", ["bogus", "Monomial"])
+def test_solve_fde_rejects_an_unknown_basis_kind(kind):
+    prob, _ = multi_term_problem()
+    with pytest.raises(DomainError) as info:
+        solve_fde(prob, 0.5, 3, basis_kind=kind)
+    assert str(info.value) == f"unknown basis kind {kind!r}"

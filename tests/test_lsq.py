@@ -550,14 +550,14 @@ def test_sampled_route_is_pinned_bit_for_bit(case):
 # large discrete fits: powers block by block, the bits of one table
 # ---------------------------------------------------------------------------
 
-def _one_table_fit(xs, ys, w, lam, n):
-    """The discrete fit from one N x (2n+1) power table with V as its view:
-    the reference the blocked route must match bit for bit."""
+def _one_table_fit(xs, ys, w, lam, n, solve=solve_normal_equations):
+    """The discrete fit from one N x (2n+1) broadcast power table with V as
+    its view: the reference the sweep must match bit for bit."""
     P = xs[:, None] ** (lam * np.arange(2 * n + 1))
     V = P[:, :n + 1]
     moments = np.einsum("k,km->m", w, P)
     idx = np.arange(n + 1)
-    coeffs, cond = solve_normal_equations(moments[idx[:, None] + idx], V.T @ (w * ys))
+    coeffs, cond = solve(moments[idx[:, None] + idx], V.T @ (w * ys))
     return coeffs, cond, V @ coeffs
 
 
@@ -571,10 +571,6 @@ _SMALL_BLOCK = 16
                                     2 * _SMALL_BLOCK + 1])
 def test_blocked_discrete_fit_equals_one_table(points, n, lam, weighted, monkeypatch):
     monkeypatch.setattr(lsq, "_BLOCK_ROWS", _SMALL_BLOCK)
-    blocked = []
-    real = lsq._blocked_moments
-    monkeypatch.setattr(lsq, "_blocked_moments",
-                        lambda *args: blocked.append(args) or real(*args))
     rng = np.random.default_rng(points * 100 + n)
     xs = rng.uniform(0.0, 2.0, points)
     xs[0] = 0.0
@@ -585,8 +581,6 @@ def test_blocked_discrete_fit_equals_one_table(points, n, lam, weighted, monkeyp
     assert coeffs.tobytes() == ref_coeffs.tobytes()
     assert float(cond).hex() == float(ref_cond).hex()
     assert fitted.tobytes() == ref_fitted.tobytes()
-    # at n <= 2 a contiguous V would move V^T (w y); those fits keep one table
-    assert len(blocked) == (n >= 3 and points > _SMALL_BLOCK)
 
 
 def test_large_discrete_fit_holds_v_plus_one_block():
@@ -600,10 +594,10 @@ def test_large_discrete_fit_holds_v_plus_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # V, the unit weights, w * ys and the fitted values (and the error's
-    # temporaries after V is gone), plus one block of 2n + 1 powers
+    # V and the fitted values (and the error's temporaries after V is gone),
+    # plus one block of 2n + 1 powers: one more array of points would not fit
     B = lsq._BLOCK_ROWS
-    assert peak <= 8 * N * (n + 4) + 8 * (B + 1) * (2 * n + 1) + 2 * 2**20
+    assert peak <= 8 * N * (n + 2) + 8 * (B + 1) * (2 * n + 1) + 2 * 2**20
 
 
 @pytest.mark.filterwarnings("error")
@@ -657,10 +651,10 @@ def test_power_table_has_the_bits_of_one_broadcast(lam, n):
         assert _hexes(got) == _hexes(_broadcast_table(lam, n, _TABLE_XS))
         for x in _TABLE_XS[:6]:
             # predict's inputs: a scalar becomes a 1-d array of one point
-            for xa in (np.asarray(x), np.atleast_1d(x)):
-                got = lsq._monomial_values(lam, n, xa)
-                assert got.shape == xa.shape + (n + 1,)
-                assert _hexes(got) == _hexes(_broadcast_table(lam, n, xa))
+            xa = np.atleast_1d(x)
+            got = lsq._monomial_values(lam, n, xa)
+            assert got.shape == (1, n + 1)
+            assert _hexes(got) == _hexes(_broadcast_table(lam, n, xa))
 
 
 @pytest.mark.parametrize("lam", _TABLE_LAMBDAS)
@@ -678,14 +672,26 @@ def test_predict_has_the_bits_of_one_broadcast_table(lam, n):
 
 @pytest.mark.parametrize("lam", _TABLE_LAMBDAS)
 @pytest.mark.parametrize("n", [3, 6])
-def test_blocked_power_table_has_the_bits_of_one_broadcast(lam, n):
+def test_blocked_power_table_has_the_bits_of_one_broadcast(lam, n, monkeypatch):
     N = lsq._BLOCK_ROWS + 1  # one full block and a block of one point
     xs = np.resize(_TABLE_XS, N)
+    ys = np.random.default_rng(16).uniform(0.5, 2.0, N)  # > 0: inf, never nan
+    systems = {"sweep": [], "one_table": []}
+
+    def recording_solve(key):
+        # 1e300's powers overflow, so record the system and solve nothing
+        return lambda A, b: systems[key].append((A, b)) or (np.ones(len(b)), 1.0)
+
+    monkeypatch.setattr(lsq, "solve_normal_equations", recording_solve("sweep"))
     with np.errstate(over="ignore"):
-        moments, V = lsq._blocked_moments(xs, np.ones(N), lam, n)
-        P = _broadcast_table(lam, 2 * n, xs)
-        assert _hexes(V) == _hexes(P[:, :n + 1])
-        assert _hexes(moments) == _hexes(np.einsum("k,km->m", np.ones(N), P))
+        fitted = lsq._discrete_fit(xs, ys, np.ones(N), lam, n)[2]
+        ref_fitted = _one_table_fit(xs, ys, np.ones(N), lam, n,
+                                    solve=recording_solve("one_table"))[2]
+    (A, b), = systems["sweep"]
+    (ref_A, ref_b), = systems["one_table"]
+    # A holds every moment, b = V^T (w y) and V @ 1 the rows of V
+    assert _hexes(A) == _hexes(ref_A) and _hexes(b) == _hexes(ref_b)
+    assert _hexes(fitted) == _hexes(ref_fitted)
 
 
 @pytest.mark.parametrize("lam", [0.08, 0.5, 0.75, 2.0])
@@ -694,11 +700,7 @@ def test_blocked_power_table_has_the_bits_of_one_broadcast(lam, n):
     (1, 7), (2, 1001), (2, 2**15 + 3), (3, 1001),  # one table
     (3, 2**15 + 3), (6, 2**14 + 1),  # blocked
 ])
-def test_unit_weights_as_none_have_the_bits_of_ones(n, points, lam, monkeypatch):
-    blocked = []
-    real = lsq._blocked_moments
-    monkeypatch.setattr(lsq, "_blocked_moments",
-                        lambda *args: blocked.append(args) or real(*args))
+def test_unit_weights_as_none_have_the_bits_of_ones(n, points, lam):
     rng = np.random.default_rng(points + n)
     xs = rng.uniform(0.0, 2.0, points)
     xs[0] = 0.0
@@ -708,7 +710,6 @@ def test_unit_weights_as_none_have_the_bits_of_ones(n, points, lam, monkeypatch)
     assert _hexes(coeffs) == _hexes(ref_coeffs)
     assert float(cond).hex() == float(ref_cond).hex()
     assert fitted.tobytes() == ref_fitted.tobytes()
-    assert len(blocked) == 2 * (n >= 3 and points > lsq._BLOCK_ROWS)
 
 
 @pytest.mark.filterwarnings("error")
@@ -784,7 +785,7 @@ def test_unweighted_projection_holds_no_temporary_per_point():
 def test_unweighted_discrete_fit_holds_no_temporary_per_point():
     data, n = _unweighted_data(), 6
     peak = _tracemalloc_peak(lambda: fit_discrete_normal(data, 0.5, n))
-    # V, with one block of 2n + 1 powers, then w * ys, then the fitted values
+    # V, with one block of 2n + 1 powers, then the fitted values
     block = 8 * (lsq._BLOCK_ROWS + 1) * (2 * n + 1)
     assert peak <= 8 * _SWEEP_POINTS * (n + 1) + max(8 * _SWEEP_POINTS, block) + 2**19
 
@@ -815,3 +816,27 @@ def test_fit_error_past_the_float_range_is_one_domain_error(fit, max_w, capfd):
         f"the least-squares error overflows: max |y| = 1e+300 with max w = {max_w} puts "
         f"the sum of w * (y - fit)^2 past the float range")
     assert capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# input rejection
+# ---------------------------------------------------------------------------
+
+_BOGUS_FIT = FitResult("bogus", 0.5, [1.0, 2.0], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DataSet([0.0, 1.0], [1.0, 2.0], weights=[1.0]),
+     DomainError, "weights must match the data length"),
+    (lambda: fit_projection(DataSet([0.0, 0.5, 1.0], [1.0, 2.0, 3.0]),
+                            build_continuous(WeightSpec(), 0.5, 2)),
+     UsageError, "a DataSet target needs a discrete-mode basis"),
+    (lambda: predict(_BOGUS_FIT, 0.5), UsageError, "unknown basis descriptor 'bogus'"),
+    (lambda: expand_to_monomial(_BOGUS_FIT), UsageError,
+     "unknown basis descriptor 'bogus'"),
+], ids=["weights_length", "dataset_on_continuous_basis", "predict_bogus_basis",
+        "expand_bogus_basis"])
+def test_lsq_rejects_bad_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -8,6 +8,7 @@ from fraclsq import (
     DegeneracyError,
     DomainError,
     RankDeficiencyError,
+    UsageError,
     WeightSpec,
     build_continuous,
     build_discrete,
@@ -511,3 +512,17 @@ def test_unit_weights_are_a_read_only_stride_0_view():
     w = basis.ip_weights
     assert w.shape == (50,) and w.strides == (0,) and not w.flags.writeable
     assert (w == 1.0).all()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: WeightSpec(1, 0.5), DomainError, "need lo < hi, got [1, 0.5]"),
+    (lambda: WeightSpec(0, 1, -1, 0), DomainError, "jacobi weight exponents must exceed -1"),
+    (lambda: build_discrete(None, [], 1, 1), DomainError,
+     "points must be a non-empty 1-d sequence"),
+    (lambda: build_discrete([1.0, 1.0], [0.0, 0.5, 1.0], 1, 1), UsageError,
+     "weight_values and points must have equal length"),
+], ids=["lo_above_hi", "exponent_minus_1", "no_points", "weights_length"])
+def test_orthobasis_rejects_bad_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -489,3 +489,13 @@ def test_power_table_bound_is_checked_last():
         LsmcJob(gbm=cfg, strike=1e100, lam=2.0, basis_degree=0)
     with pytest.raises(DomainError, match=r"strike 1e\+100 is too large for lambda"):
         LsmcJob(gbm=cfg, strike=1e100, lam=2.0)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(sigma=-0.2), "volatility must be >= 0, got -0.2"),
+    (dict(horizon=0.0), "horizon must be positive, got 0.0"),
+], ids=["negative_sigma", "zero_horizon"])
+def test_gbm_config_rejects_bad_input(kw, message):
+    with pytest.raises(DomainError) as info:
+        _cfg(**kw)
+    assert str(info.value) == message

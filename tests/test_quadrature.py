@@ -351,3 +351,23 @@ def test_weighted_rule_scaled_interval():
     for k in range(8):
         want = 2 ** ((k + 1) / 2) * _beta(k / 2 + 1, 0.5)
         assert integrate(rule, lambda x: x ** (k / 2)) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QuadratureRule([0.25, 0.5], [1.0], 0.0, 1.0),
+     "nodes and weights must be 1-d arrays of equal length"),
+    (lambda: gauss_jacobi(4, 0.5, 0.5, 1.0, 1.0), "need lo < hi, got [1.0, 1.0]"),
+    (lambda: frac_moment(1, 0, 1), "need 0 <= lo < hi, got [1, 0]"),
+    (lambda: substituted_rule(4, 3.0), "substitution step must lie in (0, 2], got 3.0"),
+    (lambda: weighted_rule(4, 0.5, -1.5), "endpoint exponents must exceed -1, got (-1.5, 0.0)"),
+    # a negative exponent has no step: None, not an error
+    (lambda: common_step([-0.5]), None),
+], ids=["shapes", "jacobi_lo_eq_hi", "moment_lo_above_hi", "step_above_2",
+        "weighted_exponent_below_minus_1", "negative_exponent_step"])
+def test_quadrature_rejects_bad_input(call, message):
+    if message is None:
+        assert call() is None
+        return
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

@@ -122,3 +122,15 @@ def test_mittag_leffler_negative_axis_against_mpmath(alpha, z):
                            [0, mpmath.inf])
     # the guard admits rounding up to 1e-8 of the sum
     assert mittag_leffler(alpha, z) == pytest.approx(float(want), rel=1e-7)
+
+
+@pytest.mark.parametrize("z, error, message", [
+    (math.inf, DomainError, "mittag_leffler: z must be finite, got inf"),
+    # the 500-term cap, though E_0.5(13) ~ 2 e^169 is a float
+    (13.0, ConvergenceError,
+     "mittag_leffler: no convergence within 500 terms (alpha=0.5, z=13.0)"),
+], ids=["infinite_z", "term_cap"])
+def test_mittag_leffler_rejects_bad_input(z, error, message):
+    with pytest.raises(error) as info:
+        mittag_leffler(0.5, z)
+    assert str(info.value) == message
