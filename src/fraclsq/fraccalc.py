@@ -16,10 +16,15 @@ blocks sum to the images Psi of all rungs at once; ``caputo_derivative`` and
 side F on [0, 1], the Gram matrix of [Psi; F] is an integer form over one
 exponent lattice, summed on sparse int rows (``_lattice``, ``_exact_gram``),
 kept exact through every refinement residual, and the error is the exact
-integral of the squared residual row.  A solution in the basis span is
-recovered to the last bit only while the float refinement contracts
-(cond * eps < 1): on monomial ladders at n=10 and n=14, where cond reaches
-1e14-2e18, in-ladder solutions are missed by 1.7e-6 to 4.8e-5.
+integral of the squared residual row, summed as a symmetric form.  What
+depends on structure only is built once per process in bounded caches: the
+basis (``_basis``), each order's column map with its Gamma ratios
+(``_image_plan``), the merge columns (``_columns``) and the lattice.  An
+exact solve then costs its big-int sums: the Gram (about 40 % of the route
+in process) and the refinement residuals (about 30 %).  A solution in the
+basis span is recovered to the last bit only while the float refinement
+contracts (cond * eps < 1): on monomial ladders at n=10 and n=14, where
+cond reaches 1e14-2e18, in-ladder solutions are missed by 1.7e-6 to 4.8e-5.
 Otherwise a quadrature rule samples the rows of Psi for ``lsq``'s float core.
 """
 
@@ -50,8 +55,9 @@ __all__ = [
 
 MAX_FDE_SIZE = 15  # n+1 cap for the residual normal equations
 
-#: how many ladder bases and exponent lattices are kept for reuse; both
-#: depend on the problem's structure only, not on its coefficients
+#: how many ladder bases (and image plans, one per ladder and order) and
+#: exponent lattices (and merge column plans) are kept for reuse; all depend
+#: on the problem's structure only, not on its coefficients
 BASIS_CACHE = 64
 LATTICE_CACHE = 64
 
@@ -113,18 +119,30 @@ class FracFunction:
         return FracFunction.from_terms(self.coeff_pairs + other.coeff_pairs)
 
 
+@lru_cache(maxsize=LATTICE_CACHE)
+def _columns(keys):
+    """(exps, idx): the sorted keyed exponents of the tuple of block exponent
+    tuples ``keys`` and, per block, the read-only array of its columns in
+    ``exps``; cached on ``keys``."""
+    keyed = [[_key(e) for e in es] for es in keys]
+    exps = sorted(set().union(*keyed))
+    col = {e: a for a, e in enumerate(exps)}
+    idx = [np.array([col[k] for k in ks], dtype=np.intp) for ks in keyed]
+    for ix in idx:
+        ix.flags.writeable = False
+    return tuple(exps), tuple(idx)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _merge(rows, blocks):
     """(exps, M): (exponents, matrix) blocks summed into the first rows of a
     ``rows``-row matrix, per keyed exponent from 0.0 in block order; all-zero
     columns drop, and ``exps`` is a tuple.  A sum past the float range is a
     DomainError naming the first such entry by row, then exponent."""
-    keyed = [[_key(e) for e in es] for es, _ in blocks]
-    exps = sorted(set().union(*keyed))
-    col = {e: a for a, e in enumerate(exps)}
+    exps, idx = _columns(tuple(tuple(es) for es, _ in blocks))
     M = np.zeros((rows, len(exps)))
-    for ks, (_, V) in zip(keyed, blocks):
-        np.add.at(M[:len(V)], (slice(None), [col[k] for k in ks]), V)  # in order
+    for ix, (_, V) in zip(idx, blocks):
+        np.add.at(M[:len(V)], (slice(None), ix), V)  # in order
     if not np.isfinite(M).all():
         i, a = np.argwhere(~np.isfinite(M))[0]
         raise DomainError(f"terms must be finite, got {M[i, a]} * x^{exps[a]}")
@@ -132,24 +150,37 @@ def _merge(rows, blocks):
     return tuple(e for e, on in zip(exps, live) if on), M[:, live]
 
 
+@lru_cache(maxsize=BASIS_CACHE)
+def _image_plan(exps, alpha):
+    """(src, up, down, shifted): the columns of ``exps`` that D^alpha does not
+    annihilate (e > 0), as a read-only index array, Gamma(e+1) and
+    Gamma(e+1-alpha) on them as read-only arrays, and their exponents e - alpha;
+    cached on (exps, alpha)."""
+    src = [a for a, e in enumerate(exps) if e != 0.0]  # constants map to zero
+    low = [exps[a] for a in src if _key(exps[a] - alpha) < 0]  # keyed as _merge keys it
+    if low:
+        raise DomainError(f"term x^{low[0]} under D^{alpha} leaves the nonnegative-"
+                          f"exponent representation (need exponent >= order)")
+    plan = (np.array(src, dtype=np.intp), np.array([gamma(exps[a] + 1.0) for a in src]),
+            np.array([gamma(exps[a] + 1.0 - alpha) for a in src]))
+    for arr in plan:
+        arr.flags.writeable = False
+    return (*plan, tuple(exps[a] - alpha for a in src))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _merge names a sum past the float range
 def _image(prob, exps, C, ic=False):
     """The ``_merge`` blocks of the operator of ``prob`` on every row of C over
-    ``exps``, plus each row's constant when ``ic``.  A Caputo term sends column
-    e > 0 to e - alpha, scaled as (c * Gamma(e+1)) / Gamma(e+1-alpha) and then
-    by its coeff; the blocks come in the order terms, reaction, IC."""
+    the tuple ``exps``, plus each row's constant when ``ic``.  A Caputo term
+    sends column e > 0 to e - alpha, scaled as (c * Gamma(e+1)) /
+    Gamma(e+1-alpha) and then by its coeff (``_image_plan``); the blocks come
+    in the order terms, reaction, IC."""
     blocks = []
     for alpha, coeff in prob.terms:
         if coeff == 0.0:
             continue
-        src = [a for a, e in enumerate(exps) if e != 0.0]  # constants map to zero
-        low = [exps[a] for a in src if _key(exps[a] - alpha) < 0]  # keyed as _merge keys it
-        if low:
-            raise DomainError(f"term x^{low[0]} under D^{alpha} leaves the nonnegative-"
-                              f"exponent representation (need exponent >= order)")
-        up = np.array([gamma(exps[a] + 1.0) for a in src])
-        down = np.array([gamma(exps[a] + 1.0 - alpha) for a in src])
-        blocks.append(([exps[a] - alpha for a in src], coeff * (C[:, src] * up / down)))
+        src, up, down, shifted = _image_plan(exps, alpha)
+        blocks.append((shifted, coeff * (C[:, src] * up / down)))
     if prob.reaction != 0.0:
         blocks.append((exps, prob.reaction * C))
     if ic:
@@ -201,7 +232,7 @@ class FdeProblem:
 
 def apply_operator(prob, p):
     """sum_m coeff_m D^(alpha_m) p + reaction * p (rhs and IC not included)."""
-    exps, M = _merge(1, _image(prob, [e for e, _ in p.terms],
+    exps, M = _merge(1, _image(prob, tuple(e for e, _ in p.terms),
                                np.array([[c for _, c in p.terms]], dtype=float)))
     return FracFunction(tuple(zip(exps, M[0].tolist())))
 
@@ -224,11 +255,19 @@ def _exact_gram(A, lattice):
     """(N, D) with <a_i, a_j> over [0, 1] exactly N[i][j] / D for the rows of
     A over a ``_lattice``: A = Z / K in dyadic ints, N = Q * (Z W Z^T) in int
     rows, D = L K^2.  Only the nonzeros of Z enter, and only j <= i is summed:
-    M_i = Z_i W on the columns rows 0..i use, N_ij = Q * M_i Z_j^T.
+    M_i = Z_i W on the columns rows 0..i use, N_ij = Q * M_i Z_j^T.  One row z
+    takes half the products: N_00 = Q * sum_a z_a (z_a W_aa + 2 sum_b<a z_b W_ab).
     Extra exponents (zero columns) change N and D but not the rational N / D."""
     Q, W, L = lattice
     Z, K = _dyadic(A)
     rows = [([a for a, z in enumerate(row) if z], [z for z in row if z]) for row in Z]
+    if len(rows) == 1:
+        (a, z), = rows
+        s = 0
+        for k, (ak, zk) in enumerate(zip(a, z)):
+            Wk = W[ak]
+            s += zk * (zk * Wk[ak] + 2 * sum(map(mul, map(Wk.__getitem__, a[:k]), z[:k])))
+        return [[Q * s]], L * K * K
     N = [[0] * len(rows) for _ in rows]
     cols = set()
     for i, (ai, zi) in enumerate(rows):
@@ -338,7 +377,11 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
             N, D = _exact_gram(A, lattice)
             if max(N[i][i] for i in range(len(N))) > int(np.finfo(float).max) * D:
                 raise _overflow(prob, "exact")  # every |N[i][j]| <= the largest N[i][i]
-            Gd = np.array([[v / D for v in row] for row in N[:-1]])
+            # one division per symmetric pair: [G | d] from the lower triangle
+            Gd = np.empty((n + 1, n + 2))
+            for i, row in enumerate(N[:-1]):
+                Gd[i, :i + 1] = Gd[:i + 1, i] = [v / D for v in row[:i + 1]]
+            Gd[:, -1] = [row[-1] / D for row in N[:-1]]
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
             coeffs, cond = solve_normal_equations(Gd[:, :-1], Gd[:, -1], (N[:-1], D),

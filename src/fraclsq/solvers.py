@@ -47,22 +47,30 @@ def condition_estimate(A):
     return math.inf if cond != cond and not np.isnan(A).any() else cond
 
 
+def _shifted(ratios, k):
+    """The ints p * 2**k / q of (p, q) ``as_integer_ratio`` pairs whose
+    power-of-two q divide 2**k, by left shifts; zeros stay 0 unshifted."""
+    return [p << k + 1 - q.bit_length() if p else 0 for p, q in ratios]
+
+
 def _dyadic(v):
     """2-d float array v as (rows, K) with v == rows / K exactly: ``rows`` are
     lists of Python ints and K is the largest power-of-two denominator of the
     entries (1 when there are none)."""
     ratios = [[t.as_integer_ratio() for t in row] for row in v.tolist()]
-    K = max((q for row in ratios for _, q in row), default=1)
-    return [[p * (K // q) for p, q in row] for row in ratios], K
+    k = max((q for row in ratios for _, q in row), default=1).bit_length() - 1
+    return [_shifted(row, k) for row in ratios], 1 << k
 
 
 def _residual(N, D, x):
     """b - A x for the augmented system [A | b] = N / D given as int rows, exact
-    and then correctly rounded: with x = X / K, r_i = (K N_i,-1 - N_i X) / (D K)."""
-    (X,), K = _dyadic(x[None])
-    DK = D * K
+    and then correctly rounded: with x = X / 2**k, r_i = (N_i,-1 2**k - N_i X)
+    / (D 2**k)."""
+    ratios = [t.as_integer_ratio() for t in x.tolist()]
+    k = max((q for _, q in ratios), default=1).bit_length() - 1
+    X, DK = _shifted(ratios, k), D << k
     # map stops at the end of X, so the sum leaves out each row's last entry
-    return np.array([(K * row[-1] - sum(map(mul, row, X))) / DK for row in N])
+    return np.array([((row[-1] << k) - sum(map(mul, row, X))) / DK for row in N])
 
 
 def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):

@@ -4,9 +4,9 @@ Every hypothesis test runs under the ``property`` profile: a fixed example
 stream (derandomized, no example database), so each run checks the same
 cases, and no per-example deadline.
 
-The ``cold_plans`` fixture empties the three plan caches (quadrature rules,
-``solve_fde`` bases and exponent lattices) before its test, so the test's
-first calls build every plan afresh.
+The ``cold_plans`` fixture empties the five plan caches (quadrature rules,
+``solve_fde`` bases, exponent lattices, operator images and merge columns)
+before its test, so the test's first calls build every plan afresh.
 """
 
 import pytest
@@ -21,8 +21,10 @@ settings.load_profile("property")
 
 @pytest.fixture
 def cold_plans():
-    """The cached plan builders, each emptied: (rules, bases, lattices)."""
-    caches = (quadrature._ladder_rule, fraccalc._basis, fraccalc._lattice)
+    """The cached plan builders, each emptied: (rules, bases, lattices,
+    images, columns)."""
+    caches = (quadrature._ladder_rule, fraccalc._basis, fraccalc._lattice,
+              fraccalc._image_plan, fraccalc._columns)
     for cache in caches:
         cache.cache_clear()
     return caches

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -956,3 +957,46 @@ def test_bad_input_is_one_error_line(args, message, tmp_path, capsys):
     (tmp_path / "empty.txt").write_text("", encoding="utf-8")
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)
     assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+# ---------------------------------------------------------------------------
+# README's "Command line" block
+# ---------------------------------------------------------------------------
+
+def _readme_commands():
+    """Each fenced command of README's "Command line" block as an argv list
+    without the leading ``fraclsq``: continuation lines joined, comments and
+    blank lines dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "fraclsq", line
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # the fixture files the block reads: monthly sales and 20 abscissae
+    write_csv(tmp_path / "sales.csv",
+              [f"{m},{100 + 7.5 * m ** 0.8:.4f}" for m in range(1, 13)])
+    (tmp_path / "points.txt").write_text(
+        "".join(f"{x!r}\n" for x in np.linspace(0.05, 1.0, 20).tolist()), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == ["fit", "fit", "orthpoly", "orthpoly", "solve-fde",
+                                              "price", "reproduce", "reproduce", "noise"]
+    for argv in commands:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "reproduce":
+            assert out and not any(line.startswith("FAIL") for line in out.splitlines()), argv
+        elif argv[0] == "noise":
+            assert out == ""
+        else:  # one JSON document per verb
+            assert json.loads(out)["job"] == argv[0], argv
+    with open(tmp_path / "noisy.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["x", "y"] and len(rows) == 13

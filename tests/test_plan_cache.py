@@ -1,4 +1,5 @@
-"""The plan caches: quadrature rules, solve_fde bases and exponent lattices.
+"""The plan caches: quadrature rules, solve_fde bases, exponent lattices,
+operator images and merge columns.
 
 Each cache holds a pure function of its key, so a cold call (right after
 ``cache_clear``) and a warm one must give the same bits, a repeat call the
@@ -93,15 +94,25 @@ def _fit_hex(fit):
     return [float(c).hex() for c in fit.coeffs], float(fit.error).hex()
 
 
+def _misses(caches):
+    return [cache.cache_info().misses for cache in caches]
+
+
 @pytest.mark.parametrize("kind", ["monomial", "muntz_legendre"])
 @pytest.mark.parametrize("case", _fde_cases())
 def test_cold_and_warm_exact_solves_are_the_same_bits(cold_plans, case, kind):
     prob, lam, n = case
     cold = _fit_hex(solve_fde(prob, lam, n, kind))
-    _, bases, lattices = cold_plans
-    assert (bases.cache_info().misses, lattices.cache_info().misses) == (1, 1)
+    # one basis and lattice, one image plan per Caputo order, and the merge
+    # plans of the basis and of the system
+    built = [0, 1, 1, len(prob.terms), 2]
+    assert _misses(cold_plans) == built
     assert _fit_hex(solve_fde(prob, lam, n, kind)) == cold
-    assert (bases.cache_info().misses, lattices.cache_info().misses) == (1, 1)
+    assert _misses(cold_plans) == built
+    # each plan rebuilt alone gives the same bits
+    for cache in cold_plans[1:]:
+        cache.cache_clear()
+        assert _fit_hex(solve_fde(prob, lam, n, kind)) == cold
 
 
 def test_repeat_calls_return_the_same_objects(cold_plans):
@@ -111,6 +122,9 @@ def test_repeat_calls_return_the_same_objects(cold_plans):
                                                                           "muntz_legendre")
     exps = (0.0, 0.25, 0.5)
     assert fraccalc._lattice(exps) is fraccalc._lattice(tuple(list(exps)))  # an equal key
+    assert fraccalc._image_plan(exps, 0.25) is fraccalc._image_plan(tuple(list(exps)), 0.25)
+    keys = ((0.5, 0.25), (0.0,))
+    assert fraccalc._columns(keys) is fraccalc._columns(((0.5, 0.25), (0.0,)))
 
 
 def test_cached_arrays_are_read_only(cold_plans):
@@ -123,24 +137,43 @@ def test_cached_arrays_are_read_only(cold_plans):
     assert isinstance(exps, tuple)
     Q, W, L = fraccalc._lattice(exps)
     assert isinstance(W, tuple) and all(isinstance(row, tuple) for row in W)
+    src, up, down, shifted = fraccalc._image_plan(exps, 0.5)
+    merged, idx = fraccalc._columns(((0.25, 0.5, 0.75), (0.0, 0.5)))
+    for arr in (src, up, down, *idx):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert isinstance(shifted, tuple) and isinstance(merged, tuple) and isinstance(idx, tuple)
     # a basis built on a cached rule holds its read-only nodes
     assert not build_continuous(WeightSpec(), 0.5, 3).points.flags.writeable
 
 
 def test_caches_stay_within_their_bounds(cold_plans):
-    rules, bases, lattices = cold_plans
+    rules, bases, lattices, images, columns = cold_plans
     assert rules.cache_info().maxsize == quadrature.LADDER_RULE_CACHE
-    assert bases.cache_info().maxsize == fraccalc.BASIS_CACHE
-    assert lattices.cache_info().maxsize == fraccalc.LATTICE_CACHE
+    # the images are per basis and order, the merge columns per lattice
+    assert bases.cache_info().maxsize == images.cache_info().maxsize == fraccalc.BASIS_CACHE
+    assert lattices.cache_info().maxsize == columns.cache_info().maxsize == \
+        fraccalc.LATTICE_CACHE
     for k in range(quadrature.LADDER_RULE_CACHE + 10):
         ladder_rule(4, (), 1.0, 2.0 + k)
     for k in range(fraccalc.BASIS_CACHE + 10):
         fraccalc._basis(0.25 + k / 64, 2, "monomial")
+        fraccalc._image_plan((0.0, 1.0), (k + 1) / 128)
     for k in range(fraccalc.LATTICE_CACHE + 10):
         fraccalc._lattice((0.0, (k + 1) / 128))
+        fraccalc._columns(((0.0, (k + 1) / 128),))
     for cache in cold_plans:
         info = cache.cache_info()
         assert info.currsize == info.maxsize
+
+
+def test_an_image_past_the_exponent_range_is_refused_on_every_call(cold_plans):
+    # the refusal is raised, not cached: each call raises it again
+    for _ in range(2):
+        with pytest.raises(DomainError, match="leaves the nonnegative-exponent"):
+            fraccalc._image_plan((0.0, 0.25), 0.5)
+    assert cold_plans[3].cache_info().currsize == 0
 
 
 def test_a_float_point_count_is_refused_even_when_its_int_is_cached(cold_plans):

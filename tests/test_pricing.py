@@ -109,6 +109,27 @@ def test_european_estimate_near_closed_form():
     assert res.european == pytest.approx(11.1346, abs=3 * 0.09)
 
 
+def test_t9_european_value_is_the_black_scholes_put():
+    from fraclsq import reproduce
+
+    mpmath = pytest.importorskip("mpmath")
+    got = reproduce._black_scholes_put(38.0, 48.0, 0.05, 0.71, 1.0 / 6.0)
+    with mpmath.workdps(30):
+        s0, strike, r, sigma = map(mpmath.mpf, ("38", "48", "0.05", "0.71"))
+        t = mpmath.mpf(1) / 6
+        d1 = (mpmath.log(s0 / strike) + (r + sigma ** 2 / 2) * t) / (sigma * mpmath.sqrt(t))
+        d2 = d1 - sigma * mpmath.sqrt(t)
+        want = strike * mpmath.exp(-r * t) * mpmath.ncdf(-d2) - s0 * mpmath.ncdf(-d1)
+        assert abs(got - want) <= 1e-13 * want
+    assert round(got, 4) == 11.1346
+    # every criterion_7 reference price undercuts the European value, and
+    # T9's notes quote it with each reference's distance in standard errors
+    assert all(ref < got for ref in reproduce.T9_REFERENCES.values())
+    notes = [r.note for r in reproduce.run_table("T9", paths=500) if r.note]
+    assert len(notes) == 4
+    assert all(re.search(r"sits \d+\.\d SE below .* value 11\.1346 ", n) for n in notes)
+
+
 def test_skipped_dates_when_no_itm_paths():
     # deep out of the money at sigma ~ 0: regression has no ITM paths at all
     job = LsmcJob(gbm=_cfg(sigma=1e-8, s0=100.0, paths=32, steps=8),
