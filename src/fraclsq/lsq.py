@@ -23,7 +23,9 @@ A discrete fit sums the moments sum(w * x^(k lam)), k <= 2n, but keeps only
 V = x^(i lam), i <= n.  One sweep does it for every size and degree: past
 ``_BLOCK_ROWS`` points (``orthobasis``'s block size, one for every sweep
 over many points) at n >= 3 it never holds the N x (2n+1) power table, and
-every fit has the bits of one table.
+every fit has the bits of one table.  The solver gets [A | b] exactly from
+the 2n+1 moments and n+1 sums.  Only ``fit_discrete_normal`` asks for the
+condition estimate it reports; LSMC's per-date fit takes none.
 """
 
 import math
@@ -36,7 +38,7 @@ from .errors import (ConditioningError, DomainError, UsageError, check_abscissae
                      check_degree, check_lambda, check_weights)
 from .fracpoly import FractionalPolynomial, muntz_legendre_coeffs, muntz_legendre_rungs
 from .orthobasis import _BLOCK_ROWS, OrthogonalBasis, _block_len, _pairwise_sum
-from .solvers import solve_normal_equations
+from .solvers import _dyadic, _refined, solve_normal_equations
 from . import quadrature as quad
 
 __all__ = [
@@ -126,7 +128,8 @@ def _monomial_values(lam, n, x, out=None):
     bits of the broadcast ``x[:, None] ** exps``."""
     if out is None:
         out = np.empty((len(x), n + 1))
-    for k, e in enumerate(lam * np.arange(n + 1)):
+    for k in range(n + 1):
+        e = k * lam
         np.power(x, np.full(len(x), e) if e in (0.5, 2.0) else e, out=out[:, k])
     return out
 
@@ -136,6 +139,16 @@ def _hankel(moments):
     = x^((i+j) lam), so entry (i, j) is moment i+j."""
     idx = np.arange(len(moments) // 2 + 1)
     return moments[idx[:, None] + idx[None, :]]
+
+
+def _exact_system(moments, rhs):
+    """[A | b] = N / D exactly, A = ``_hankel(moments)``, as ``solvers._dyadic``
+    gives it for the whole matrix: every entry of A is a moment, so only the
+    2n+1 moments and the n+1 sums are converted, as one row.  A non-finite
+    entry raises OverflowError (inf) or ValueError (nan)."""
+    (ints,), D = _dyadic(np.concatenate([moments, rhs])[None])
+    n = len(rhs) - 1
+    return [ints[i:i + n + 1] + [ints[2 * n + 1 + i]] for i in range(n + 1)], D
 
 
 def _normal_solve(A, V, ys, w, **solver_options):
@@ -219,7 +232,7 @@ def fit_discrete_normal(data, lam, n):
                      cond, float(np.min(data.xs)), float(np.max(data.xs)))
 
 
-def _discrete_fit(xs, ys, w, lam, n):
+def _discrete_fit(xs, ys, w, lam, n, table=None, cond=True):
     """(coeffs, cond, fitted) of the discrete fit on checked arrays (xs >= 0,
     all finite, >= n + 1 points); fitted equals ``predict`` at xs bit for bit.
 
@@ -230,16 +243,21 @@ def _discrete_fit(xs, ys, w, lam, n):
     row 0, weighted 1, carries the sum on; the first block leaves it out,
     which keeps one einsum's order at n = 0.  With one block, V = x^(i lam),
     i <= n, is a view of the buffer (a contiguous V would move V^T (w ys) at
-    n <= 2); else V is copied out block by block and the buffer is freed
-    before the solve.  ``w`` None is unit weights with the bits of
-    ``np.ones``: plain column sums and V^T ys.  (At n = 0 einsum's one-column
-    kernel adds in another order, but its column x^0 = 1 sums exactly.)
+    n <= 2); else V is copied out block by block and the buffer, unless it
+    is the caller's ``table``, is freed before the solve.  ``w`` None is unit
+    weights with the bits of ``np.ones``: plain column sums and V^T ys.  (At
+    n = 0 einsum's one-column kernel adds in another order, but its column
+    x^0 = 1 sums exactly.)  ``table``, a C-contiguous array of at least
+    rows+1 rows and 2n+1 columns, is used as the buffer, so a caller that
+    fits many point sets allocates it once.  The solver gets [A | b] exactly
+    from the moments (``_exact_system``); with ``cond`` False it skips the
+    condition estimate and returns None for it.
 
     A moment past the float range is a DomainError naming max x, lam and the
     degree; a right-hand-side entry past it, one naming max |y| and max w."""
     N = len(xs)
     rows = N if n < 3 else min(N, _BLOCK_ROWS)
-    buf = np.empty((rows + 1, 2 * n + 1))
+    buf = np.empty((rows + 1, 2 * n + 1)) if table is None else table[:rows + 1]
     V = buf[1:, :n + 1] if rows == N else np.empty((N, n + 1))
     wb = np.ones(rows + 1) if w is not None and rows < N else None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,25 +271,28 @@ def _discrete_fit(xs, ys, w, lam, n):
             buf[0] = np.einsum("km->m" if w is None else "k,km->m", *ws, buf[r:m + 1])
             if rows < N:
                 V[a:a + m] = buf[1:m + 1, :n + 1]
-        A = _hankel(buf[0])
+        moments = buf[0].copy()
         del buf, wb
         rhs = V.T @ (ys if w is None else w * ys)
     try:
-        coeffs, cond = solve_normal_equations(A, rhs)
-    except ConditioningError:
+        exact = _exact_system(moments, rhs)
+    except (OverflowError, ValueError):  # a moment or a sum is not finite
         x_max, w_max = float(np.max(xs)), 1.0 if w is None else float(np.max(w))
-        if not np.isfinite(A).all():  # A holds every moment
+        if not np.isfinite(moments).all():
             raise DomainError(
                 f"the discrete normal equations overflow: max x = {x_max:.6g} with "
                 f"lambda = {lam} and degree {n} puts a moment sum of w * x^(k*lambda), "
                 f"k <= {2 * n}, past the float range (max w = {w_max:.6g})") from None
-        if not np.isfinite(rhs).all():
-            raise DomainError(
-                f"the discrete normal equations overflow: max |y| = "
-                f"{float(np.max(np.abs(ys))):.6g} with max w = {w_max:.6g} puts a "
-                f"right-hand-side sum of w * y * x^(i*lambda), i <= {n}, past the float "
-                f"range (max x = {x_max:.6g}, lambda = {lam}, degree {n})") from None
-        raise
+        raise DomainError(
+            f"the discrete normal equations overflow: max |y| = "
+            f"{float(np.max(np.abs(ys))):.6g} with max w = {w_max:.6g} puts a "
+            f"right-hand-side sum of w * y * x^(i*lambda), i <= {n}, past the float "
+            f"range (max x = {x_max:.6g}, lambda = {lam}, degree {n})") from None
+    A = _hankel(moments)
+    if not cond:
+        coeffs = _refined(A, rhs, exact)
+        return coeffs, None, V @ coeffs
+    coeffs, cond = solve_normal_equations(A, rhs, exact)
     return coeffs, cond, V @ coeffs
 
 

@@ -13,7 +13,10 @@ the solve is made stability-aware in two cheap ways:
   division.
 
 The reported condition estimate always refers to the raw, un-equilibrated
-matrix: it is the diagnostic the caller uses to compare basis choices.
+matrix: it is the diagnostic the caller uses to compare basis choices.  Only
+the routes that report it compute it: ``solve_normal_equations`` is the
+refinement core ``_refined`` plus ``condition_estimate``, and LSMC's
+per-date regression, which never reads cond, calls the core alone.
 Most systems are tiny (LSMC solves a 3×3 or 4×4 one per exercise date), so
 per-call Python overhead counts: the LAPACK work goes through
 ``np.linalg.svd``, ``np.linalg.solve`` and ``np.linalg.eigh``, while the
@@ -73,34 +76,16 @@ def _residual(N, D, x):
     return np.array([((row[-1] << k) - sum(map(mul, row, X))) / DK for row in N])
 
 
-def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
-    """Solve A x = b and return (x, cond) with cond = cond_2 of raw A.
-
-    ``exact`` optionally supplies the augmented system [A | b] in exact form
-    (N, D): rows of Python ints and one int, [A | b] = N / D.
-    Refinement residuals are computed against it, so a float solution of an
-    exactly-assembled system converges to its correctly rounded answer.
-    When omitted, the float entries are taken as exact.
-
-    With ``allow_semidefinite`` a singular-but-consistent system (a Gram
-    matrix with flat directions) falls back to the minimum-norm SVD
-    solution instead of raising; otherwise singular systems raise
-    ConditioningError carrying the condition estimate.  A non-finite system
-    raises it with cond = inf before any LAPACK call.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # LAPACK prints DLASCL lines on a non-finite matrix
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ConditioningError("normal equations are not finite (cond~inf)")
-    cond = condition_estimate(A)
-
+def _refined(A, b, exact=None, allow_semidefinite=False):
+    """The refined solution x of the finite system A x = b: the core of
+    ``solve_normal_equations``, which computes no condition estimate, for
+    callers that never read one.  A failure raises ConditioningError with no
+    estimate in its message and the default cond = inf;
+    ``solve_normal_equations`` re-raises it with the estimate in both."""
     # equilibrate: As = D A D with D = diag(1/sqrt(diag A))
     diag = A.diagonal()
     if (diag <= 0).any():
-        raise ConditioningError(
-            f"normal matrix is not positive definite (cond~{cond:.3e})", cond=cond
-        )
+        raise ConditioningError("normal matrix is not positive definite")
     d = 1.0 / np.sqrt(diag)
     As = A * d[:, None] * d[None, :]
     bs = b * d
@@ -112,9 +97,7 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
         try:
             evals, evecs = np.linalg.eigh(As)
         except np.linalg.LinAlgError as exc:
-            raise ConditioningError(
-                f"normal-equation eigensolve failed: {exc} (cond~{cond:.3e})",
-                cond=cond) from exc
+            raise ConditioningError(f"normal-equation eigensolve failed: {exc}") from exc
         cutoff = 64 * np.finfo(float).eps * np.max(np.abs(evals))
         inv = np.where(np.abs(evals) > cutoff, 1.0 / np.where(evals == 0, 1, evals),
                        0.0)
@@ -126,15 +109,11 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
             try:
                 return np.linalg.solve(As, rhs)
             except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    f"normal-equation solve failed: {exc} (cond~{cond:.3e})",
-                    cond=cond) from exc
+                raise ConditioningError(f"normal-equation solve failed: {exc}") from exc
 
     x = solve_scaled(bs) * d
     if not np.isfinite(x).all():
-        raise ConditioningError(
-            f"normal-equation solution is non-finite (cond~{cond:.3e})", cond=cond
-        )
+        raise ConditioningError("normal-equation solution is non-finite")
 
     N, D = _dyadic(np.column_stack([A, b])) if exact is None else exact
     best_x, best_rnorm = x, float("inf")
@@ -159,4 +138,33 @@ def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
                 break
             seen.add(key)
             x = x_next
-    return best_x, cond
+    return best_x
+
+
+def solve_normal_equations(A, b, exact=None, allow_semidefinite=False):
+    """Solve A x = b and return (x, cond) with cond = cond_2 of raw A.
+
+    ``exact`` optionally supplies the augmented system [A | b] in exact form
+    (N, D): rows of Python ints and one int, [A | b] = N / D.
+    Refinement residuals are computed against it, so a float solution of an
+    exactly-assembled system converges to its correctly rounded answer.
+    When omitted, the float entries are taken as exact.
+
+    With ``allow_semidefinite`` a singular-but-consistent system (a Gram
+    matrix with flat directions) is solved through ``np.linalg.eigh`` of the
+    equilibrated matrix, dropping eigenvalues at or below 64 eps times the
+    largest, instead of raising; otherwise singular systems raise
+    ConditioningError carrying the condition estimate.  A non-finite system
+    raises it with cond = inf before any LAPACK call.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    # LAPACK prints DLASCL lines on a non-finite matrix
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ConditioningError("normal equations are not finite (cond~inf)")
+    try:
+        x = _refined(A, b, exact, allow_semidefinite)
+    except ConditioningError as exc:
+        cond = condition_estimate(A)
+        raise ConditioningError(f"{exc} (cond~{cond:.3e})", cond=cond) from exc.__cause__
+    return x, condition_estimate(A)

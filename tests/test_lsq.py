@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fraclsq import (
     ConditioningError,
@@ -24,7 +25,7 @@ from fraclsq import (
     solve_fde,
     substituted_rule,
 )
-from fraclsq import lsq, orthobasis
+from fraclsq import lsq, orthobasis, solvers
 from fraclsq.functions import lookup, multi_term_problem
 from fraclsq.solvers import solve_normal_equations
 
@@ -461,14 +462,67 @@ def test_discrete_normal_matches_power_sum_reference(lam, n, monkeypatch):
     seen = []
     real_solve = lsq.solve_normal_equations
     monkeypatch.setattr(lsq, "solve_normal_equations",
-                        lambda A, b: seen.append((A, b)) or real_solve(A, b))
+                        lambda A, b, exact: seen.append((A, b, exact)) or
+                        real_solve(A, b, exact))
     fit = fit_discrete_normal(DataSet(xs, ys, w), lam, n)
-    (A, d), = seen
+    (A, d, exact), = seen
     assert np.allclose(A, A_ref, rtol=1e-12, atol=0)
     assert np.allclose(d, d_ref, rtol=1e-12, atol=0)
+    # the exact system the refinement reads is the float one, entry for entry
+    assert exact == solvers._dyadic(np.column_stack([A, d]))
     V = np.array([[power(xk, i * lam) for i in range(n + 1)] for xk in xs])
     resid = ys - V @ fit.coeffs
     assert fit.error == pytest.approx(float(np.sum(w * resid**2)), rel=1e-12)
+
+
+#: float entries of a normal system: 0.0, the smallest subnormal, 1e308 and
+#: mantissas in [0.5, 1) at binary exponents from the subnormals to the top
+_SYSTEM_ENTRIES = st.sampled_from([0.0, 5e-324, 1e308, 1.0]) | st.builds(
+    math.ldexp, st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+    st.integers(min_value=-1070, max_value=1020))
+
+
+@st.composite
+def _moments_and_sums(draw):
+    """2n+1 moments >= 0 and n+1 signed right-hand-side sums, n in 0..6."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    moments = draw(st.lists(_SYSTEM_ENTRIES, min_size=2 * n + 1, max_size=2 * n + 1))
+    sums = draw(st.lists(st.tuples(_SYSTEM_ENTRIES, st.booleans()), min_size=n + 1,
+                         max_size=n + 1))
+    return np.array(moments), np.array([-v if neg else v for v, neg in sums])
+
+
+@given(_moments_and_sums())
+def test_exact_system_from_moments_is_the_dyadic_float_system(system):
+    moments, rhs = system
+    N, D = lsq._exact_system(moments, rhs)
+    want_N, want_D = solvers._dyadic(np.column_stack([lsq._hankel(moments), rhs]))
+    assert D == want_D
+    assert N == want_N and all(type(v) is int for row in N for v in row)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["moment", "sum"])
+def test_exact_system_refuses_a_non_finite_entry(where, bad):
+    moments, rhs = np.ones(5), np.ones(3)
+    (moments if where == "moment" else rhs)[1] = bad
+    with pytest.raises((OverflowError, ValueError)):
+        lsq._exact_system(moments, rhs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs, ys, match", [
+    (np.linspace(1e200, 2e200, 50), np.sin(np.arange(50.0)),
+     r"max x = 2e\+200 with lambda = 1.0 and degree 2 puts a moment sum"),
+    (np.linspace(0.0, 1.0, 10**4), np.full(10**4, 1e305),
+     r"max \|y\| = 1e\+305 with max w = 1 puts a right-hand-side sum"),
+], ids=["moments", "rhs"])
+def test_pricer_route_overflow_is_the_same_domain_error(xs, ys, match, capfd):
+    # the route without a condition estimate, filling a caller's table
+    table = np.empty((len(xs) + 1, 5))
+    with pytest.raises(DomainError, match=match):
+        lsq._discrete_fit(xs, ys, None, 1.0, 2, table, cond=False)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_continuous_and_projection_reject_nonfinite_targets():
@@ -682,7 +736,13 @@ def test_blocked_power_table_has_the_bits_of_one_broadcast(lam, n, monkeypatch):
         # 1e300's powers overflow, so record the system and solve nothing
         return lambda A, b: systems[key].append((A, b)) or (np.ones(len(b)), 1.0)
 
-    monkeypatch.setattr(lsq, "solve_normal_equations", recording_solve("sweep"))
+    # the sweep's system is recorded where it becomes exact, before the
+    # overflow check, as the normal matrix of its moments and the sums
+    monkeypatch.setattr(lsq, "_exact_system",
+                        lambda moments, b: systems["sweep"].append(
+                            (lsq._hankel(moments), b)))
+    monkeypatch.setattr(lsq, "solve_normal_equations",
+                        lambda A, b, exact: (np.ones(len(b)), 1.0))
     with np.errstate(over="ignore"):
         fitted = lsq._discrete_fit(xs, ys, np.ones(N), lam, n)[2]
         ref_fitted = _one_table_fit(xs, ys, np.ones(N), lam, n,

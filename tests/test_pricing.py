@@ -18,7 +18,7 @@ from fraclsq import (
     price_american_put,
     simulate_paths,
 )
-from fraclsq import pricing
+from fraclsq import pricing, solvers
 
 
 def _cfg(**kw):
@@ -249,6 +249,27 @@ def test_zero_volatility_skipped_dates_pinned():
     assert _hex(res) == ("0x1.3fc963f52062fp+3", "0x1.02061446ffa9ap-52",
                          "0x1.3340d0c3b59a6p+3")
     assert res.skipped_dates == (7, 49)
+
+
+def test_pricer_takes_no_svd(monkeypatch):
+    # the regression never reads a condition estimate, so it computes none,
+    # not even on the dates whose solve fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("a condition number was estimated")
+
+    monkeypatch.setattr(solvers, "condition_estimate", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    res = price_american_put(LsmcJob(gbm=_cfg(paths=10_000), strike=48.0, lam=0.75))
+    assert _hex(res) == ("0x1.66a6d7418388ep+3", "0x1.0c8eac6efefa3p-4", _T9_EUROPEAN)
+    assert res.skipped_dates == ()
+    res = price_american_put(LsmcJob(gbm=_cfg(sigma=0.0, paths=64), strike=48.0,
+                                     lam=1.0))
+    assert _hex(res) == ("0x1.3fc963f52062fp+3", "0x1.02061446ffa9ap-52",
+                         "0x1.3340d0c3b59a6p+3")
+    assert res.skipped_dates == (7, 49)
+    # the public fit reports cond, so it still estimates one
+    with pytest.raises(AssertionError, match="condition number"):
+        fit_discrete_normal(DataSet(np.linspace(0.0, 1.0, 10), np.ones(10)), 0.75, 2)
 
 
 @pytest.mark.parametrize("cfg,digest", [

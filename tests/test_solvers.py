@@ -248,6 +248,31 @@ def test_bad_systems_raise_conditioning_error(A, b, capfd):
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("A,b,message", [
+    ([[1.0, 2.0], [2.0, -1.0]], [1.0, 1.0],
+     "normal matrix is not positive definite (cond~1.000e+00)"),
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0],
+     "normal-equation solve failed: Singular matrix (cond~5.962e+16)"),
+    ([[1.0, np.nan], [np.nan, 1.0]], [1.0, 1.0], "normal equations are not finite (cond~inf)"),
+], ids=["not_pd", "singular", "non_finite"])
+def test_failed_solves_carry_the_condition_estimate(A, b, message):
+    # the refinement core raises without a condition estimate; the public
+    # solver adds it, to the message and as ``cond`` (inf for a non-finite
+    # system, which never reaches the core)
+    A, b = np.array(A), np.array(b)
+    with pytest.raises(ConditioningError) as info:
+        solve_normal_equations(A, b)
+    assert str(info.value) == message
+    if not np.isfinite(A).all():
+        assert info.value.cond == math.inf
+        return
+    assert float(info.value.cond).hex() == float(solvers.condition_estimate(A)).hex()
+    with pytest.raises(ConditioningError) as info:
+        solvers._refined(A, b)
+    assert str(info.value) == message.rpartition(" (cond~")[0]
+    assert info.value.cond == math.inf
+
+
 def test_singular_system_raises_without_semidefinite_flag():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ConditioningError):
