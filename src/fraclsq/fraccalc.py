@@ -25,7 +25,7 @@ in process) and the refinement residuals (about 30 %).  A solution in the
 basis span is recovered to the last bit only while the float refinement
 contracts (cond * eps < 1): on monomial ladders at n=10 and n=14, where
 cond reaches 1e14-2e18, in-ladder solutions are missed by 1.7e-6 to 4.8e-5.
-Otherwise a quadrature rule samples the rows of Psi for ``lsq``'s float core.
+Otherwise a quadrature rule samples the rows of Psi for a float solve.
 """
 
 import math
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (ConditioningError, DegeneracyError, DomainError, check_degree,
                      check_lambda)
 from .fracpoly import muntz_legendre_coeffs
-from .lsq import FitResult, _normal_solve, _sse, predict
+from .lsq import FitResult, _sse, predict
 from .solvers import _dyadic, solve_normal_equations
 from . import quadrature as quad
 from .special import gamma
@@ -306,8 +306,8 @@ def _overflow(prob, route):
 
 def _quadrature_solve(prob, blocks, n):
     """(coeffs, cond, error) of ``solve_fde``'s quadrature route: the rows of
-    Psi and F sampled at a rule's nodes, solved and scored by ``lsq``'s
-    float core.  A value past the float range on the way is ``_overflow``."""
+    Psi and F sampled at a rule's nodes, solved as a float system taken as
+    exact and scored by ``lsq._sse``.  An overflow on the way is ``_overflow``."""
     try:
         exps, Psi = _merge(n + 1, blocks)
     except DomainError:  # a coefficient of Psi past the float range
@@ -324,16 +324,17 @@ def _quadrature_solve(prob, blocks, n):
         for e, psi in zip(exps, Psi.T):
             nz = psi != 0
             M[:, nz] += np.multiply.outer(x**e, psi[nz])
-        A = (M * w[:, None]).T @ M
+        A, rhs = (M * w[:, None]).T @ M, M.T @ (w * fvals)
         try:
-            coeffs, cond, fitted = _normal_solve(A, M, fvals, w, allow_semidefinite=True)
+            coeffs, cond = solve_normal_equations(A, rhs, allow_semidefinite=True)
         except ConditioningError:
             # a finite system with a positive diagonal fails only when its
             # solution lies past the float range
-            finite = np.isfinite(A).all() and np.isfinite(M.T @ (w * fvals)).all()
+            finite = np.isfinite(A).all() and np.isfinite(rhs).all()
             if finite and (A.diagonal() <= 0).any():
                 raise
             raise _overflow(prob, "quadrature") from None
+        fitted = M @ coeffs
     try:
         return coeffs, cond, _sse(fvals, fitted, w)
     except DomainError:
@@ -347,7 +348,7 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
     minimizer and whose coefficients express the solution in the chosen basis.
     With a FracFunction right-hand side on [0, 1], all normal-equation
     entries are exact rational moments; otherwise a quadrature rule samples
-    the residual and ``lsq``'s float core solves and scores it.  Either
+    the residual and a float solve and ``lsq._sse`` score it.  Either
     route raises DegeneracyError when its normal equations are singular, and
     one DomainError naming the largest |term coefficient|, |reaction| and
     |y0| when they leave the float range; a zero operator (every term

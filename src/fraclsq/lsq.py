@@ -13,19 +13,19 @@ Every result records which route produced it, the fitted coefficients, the
 least-squares error functional and a condition estimate of the solved
 system (1 for the projection route).
 
-It is also the float least-squares core of every sampled route (``solve_fde``'s
-quadrature path and LSMC too): :func:`_normal_solve` solves the quadrature
-routes, :func:`_sse` scores, block by block, with no temporary per point.
+Every ladder fit, LSMC's too, is solved by :func:`_ladder_solve`: A is the
+Hankel matrix of the 2n+1 moments <x^(i lam), x^(j lam)> (integrals or
+sums), so the solver gets [A | b] exactly from them and the n+1 entries of
+b, and an overflow is one DomainError.  :func:`_sse` scores every sampled
+route (``solve_fde``'s quadrature path too), block by block.
 :func:`_discrete_fit` is the discrete route on plain arrays, which LSMC calls
-once per exercise date with no DataSet or FitResult around it.
+once per exercise date with no DataSet or FitResult and no condition estimate.
 
 A discrete fit sums the moments sum(w * x^(k lam)), k <= 2n, but keeps only
 V = x^(i lam), i <= n.  One sweep does it for every size and degree: past
 ``_BLOCK_ROWS`` points (``orthobasis``'s block size, one for every sweep
 over many points) at n >= 3 it never holds the N x (2n+1) power table, and
-every fit has the bits of one table.  The solver gets [A | b] exactly from
-the 2n+1 moments and n+1 sums.  Only ``fit_discrete_normal`` asks for the
-condition estimate it reports; LSMC's per-date fit takes none.
+every fit has the bits of one table.
 """
 
 import math
@@ -151,11 +151,33 @@ def _exact_system(moments, rhs):
     return [ints[i:i + n + 1] + [ints[2 * n + 1 + i]] for i in range(n + 1)], D
 
 
-def _normal_solve(A, V, ys, w, **solver_options):
-    """Solve the weighted normal equations A c = V^T (w * ys) for an assembled
-    A, passing ``solver_options`` on; returns the coefficients, the condition
-    estimate and the fitted values V @ coeffs at V's points."""
-    coeffs, cond = solve_normal_equations(A, V.T @ (w * ys), **solver_options)
+def _ladder_solve(route, moments, V, xs, ys, w, lam, cond=True):
+    """(coeffs, cond, V @ coeffs) of A c = V^T (w * ys), A = ``_hankel(moments)``,
+    V = x^(i lam) at ``xs`` (``w`` None: unit weights), for every ladder
+    ``route``: [A | b] exact from the moments (``_exact_system``), cond None
+    when ``cond`` is False.  A moment past the float range is a DomainError
+    naming max x, lam and the degree; a right-hand-side entry, one naming
+    max |y| and max w; both name the route ("continuous" or "discrete")."""
+    n = V.shape[1] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = V.T @ (ys if w is None else w * ys)
+    try:
+        exact = _exact_system(moments, rhs)
+    except (OverflowError, ValueError):  # a moment or a sum is not finite
+        x_max, w_max = float(np.max(xs)), 1.0 if w is None else float(np.max(w))
+        if not np.isfinite(moments).all():
+            raise DomainError(
+                f"the {route} normal equations overflow: max x = {x_max:.6g} with "
+                f"lambda = {lam} and degree {n} puts a moment sum of w * x^(k*lambda), "
+                f"k <= {2 * n}, past the float range (max w = {w_max:.6g})") from None
+        raise DomainError(
+            f"the {route} normal equations overflow: max |y| = "
+            f"{float(np.max(np.abs(ys))):.6g} with max w = {w_max:.6g} puts a "
+            f"right-hand-side sum of w * y * x^(i*lambda), i <= {n}, past the float "
+            f"range (max x = {x_max:.6g}, lambda = {lam}, degree {n})") from None
+    A = _hankel(moments)
+    coeffs, cond = (solve_normal_equations(A, rhs, exact) if cond
+                    else (_refined(A, rhs, exact), None))
     return coeffs, cond, V @ coeffs
 
 
@@ -191,7 +213,7 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
     A is assembled exactly from closed-form moments; d and the error
     functional use the supplied quadrature rule (default: 64 points from
     :func:`quadrature.ladder_rule` for the ladder exponents), which must be
-    a unit-weight rule on [lo, hi].
+    a unit-weight rule on [lo, hi].  Overflow in d is a DomainError.
     """
     if not 0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
@@ -204,9 +226,9 @@ def fit_continuous_normal(y, lo, hi, lam, n, rule=None):
         raise UsageError(f"rule is on [{rule.lo}, {rule.hi}], the fit on [{lo}, {hi}]")
     moments = np.array([quad.frac_moment(lo, hi, lam * k) for k in range(2 * n + 1)])
     ys = quad.sample(y, rule.nodes)
-    coeffs, cond, fitted = _normal_solve(_hankel(moments),
-                                         _monomial_values(lam, n, rule.nodes), ys,
-                                         rule.weights)
+    coeffs, cond, fitted = _ladder_solve("continuous", moments,
+                                         _monomial_values(lam, n, rule.nodes),
+                                         rule.nodes, ys, rule.weights, lam)
     return FitResult("monomial", lam, coeffs, _sse(ys, fitted, rule.weights), cond,
                      lo, hi)
 
@@ -249,12 +271,7 @@ def _discrete_fit(xs, ys, w, lam, n, table=None, cond=True):
     n = 0 einsum's one-column kernel adds in another order, but its column
     x^0 = 1 sums exactly.)  ``table``, a C-contiguous array of at least
     rows+1 rows and 2n+1 columns, is used as the buffer, so a caller that
-    fits many point sets allocates it once.  The solver gets [A | b] exactly
-    from the moments (``_exact_system``); with ``cond`` False it skips the
-    condition estimate and returns None for it.
-
-    A moment past the float range is a DomainError naming max x, lam and the
-    degree; a right-hand-side entry past it, one naming max |y| and max w."""
+    fits many point sets allocates it once.  ``_ladder_solve`` solves."""
     N = len(xs)
     rows = N if n < 3 else min(N, _BLOCK_ROWS)
     buf = np.empty((rows + 1, 2 * n + 1)) if table is None else table[:rows + 1]
@@ -272,28 +289,8 @@ def _discrete_fit(xs, ys, w, lam, n, table=None, cond=True):
             if rows < N:
                 V[a:a + m] = buf[1:m + 1, :n + 1]
         moments = buf[0].copy()
-        del buf, wb
-        rhs = V.T @ (ys if w is None else w * ys)
-    try:
-        exact = _exact_system(moments, rhs)
-    except (OverflowError, ValueError):  # a moment or a sum is not finite
-        x_max, w_max = float(np.max(xs)), 1.0 if w is None else float(np.max(w))
-        if not np.isfinite(moments).all():
-            raise DomainError(
-                f"the discrete normal equations overflow: max x = {x_max:.6g} with "
-                f"lambda = {lam} and degree {n} puts a moment sum of w * x^(k*lambda), "
-                f"k <= {2 * n}, past the float range (max w = {w_max:.6g})") from None
-        raise DomainError(
-            f"the discrete normal equations overflow: max |y| = "
-            f"{float(np.max(np.abs(ys))):.6g} with max w = {w_max:.6g} puts a "
-            f"right-hand-side sum of w * y * x^(i*lambda), i <= {n}, past the float "
-            f"range (max x = {x_max:.6g}, lambda = {lam}, degree {n})") from None
-    A = _hankel(moments)
-    if not cond:
-        coeffs = _refined(A, rhs, exact)
-        return coeffs, None, V @ coeffs
-    coeffs, cond = solve_normal_equations(A, rhs, exact)
-    return coeffs, cond, V @ coeffs
+    del buf, wb
+    return _ladder_solve("discrete", moments, V, xs, ys, w, lam, cond)
 
 
 def fit_projection(target, basis):
@@ -321,25 +318,35 @@ def fit_projection(target, basis):
         yvals = quad.sample(target, basis.points)
 
     R = basis.point_rungs
-    coeffs = R @ (w * yvals) / np.asarray(basis.sq_norms)
-    return FitResult("orthogonal", basis.lam, coeffs, _sse(yvals, R.T @ coeffs, w), 1.0,
+    with np.errstate(over="ignore", invalid="ignore"):  # _sse raises on the inf or nan
+        coeffs = R @ (w * yvals) / np.asarray(basis.sq_norms)
+        fitted = R.T @ coeffs
+    return FitResult("orthogonal", basis.lam, coeffs, _sse(yvals, fitted, w), 1.0,
                      basis.lo, basis.hi, basis_ref=basis)
 
 
 def predict(fit, x):
-    """Evaluate the fitted expansion at finite x >= 0 (extrapolation allowed)."""
+    """Evaluate the fitted expansion at finite x >= 0 (extrapolation allowed).
+    A value past the float range is a DomainError naming max x, lam and the
+    degree."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     check_abscissae(xa, "fit abscissae")
-    if fit.basis == "monomial":
-        V = _monomial_values(fit.lam, len(fit.coeffs) - 1, xa)
-    elif fit.basis == "muntz_legendre":
-        V = muntz_legendre_rungs(len(fit.coeffs) - 1, fit.lam, xa).T
-    elif fit.basis == "orthogonal":
-        V = fit.basis_ref.ladder_values(xa).T
-    else:
-        raise UsageError(f"unknown basis descriptor {fit.basis!r}")
-    out = V @ fit.coeffs
+    n = len(fit.coeffs) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fit.basis == "monomial":
+            V = _monomial_values(fit.lam, n, xa)
+        elif fit.basis == "muntz_legendre":
+            V = muntz_legendre_rungs(n, fit.lam, xa).T
+        elif fit.basis == "orthogonal":
+            V = fit.basis_ref.ladder_values(xa).T
+        else:
+            raise UsageError(f"unknown basis descriptor {fit.basis!r}")
+        out = V @ fit.coeffs
+    if not np.isfinite(out).all():
+        raise DomainError(
+            f"the fitted value overflows: max x = {float(np.max(xa)):.6g} with lambda = "
+            f"{fit.lam} and degree {n} puts it past the float range")
     return float(out[0]) if scalar else out
 
 

@@ -8,9 +8,9 @@ the solve is made stability-aware in two cheap ways:
 * iterative refinement with exact residuals, which drives the forward
   error of the returned solution to the last bit whenever eps * cond(A) < 1.
   The augmented system [A | b] is held as rows of Python ints over one
-  denominator (given by the caller, or read off the float entries), so each
-  residual entry is one integer dot product and one correctly rounded
-  division.
+  denominator, so each residual entry is one integer dot product and one
+  correctly rounded division.  The caller passes it (ladder fits from their
+  moments, exact ``solve_fde`` from its Gram), else the floats count as exact.
 
 The reported condition estimate always refers to the raw, un-equilibrated
 matrix: it is the diagnostic the caller uses to compare basis choices.  Only

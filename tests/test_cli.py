@@ -298,6 +298,7 @@ def test_fit_overflowing_moments_is_one_error_line(tmp_path, capfd):
 
 
 _BIG = ["--lambda", "1", "--degree", "3", "--interval", "0:1e200"]
+_HUGE = ["--function", "x35+x4", "--lambda", "0.5", "--degree", "2", "--interval", "0:1e60"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -317,6 +318,12 @@ _BIG = ["--lambda", "1", "--degree", "3", "--interval", "0:1e200"]
       "--y0", "1e308"],
      "the exact residual normal equations overflow the float range (largest |term "
      "coefficient| = 1, |reaction| = 0, |y0| = 1e+308)"),
+    (["fit", *_HUGE], "the continuous normal equations overflow: max |y| = 9.97266e+239 "
+                      "with max w = 3.13922e+58 puts a right-hand-side sum"),
+    (["fit", *_HUGE, "--method", "projection"],
+     "the least-squares error overflows: max |y| = 9.97266e+239"),
+    (["fit", "--function", "x15", "--lambda", "2", "--degree", "2", "--predict", "1e200"],
+     "the fitted value overflows: max x = 1e+200 with lambda = 2.0 and degree 2"),
 ])
 def test_results_past_the_float_range_are_one_error_line(args, message, tmp_path, capfd):
     # exit 2 with one line: no traceback, no numpy warning, no NaN in the JSON

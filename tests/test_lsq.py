@@ -9,6 +9,9 @@ from fraclsq import (
     ConditioningError,
     DataSet,
     DomainError,
+    FdeProblem,
+    GbmConfig,
+    LsmcJob,
     UsageError,
     WeightSpec,
     add_noise,
@@ -22,6 +25,7 @@ from fraclsq import (
     FitResult,
     muntz_legendre_eval,
     predict,
+    price_american_put,
     solve_fde,
     substituted_rule,
 )
@@ -717,11 +721,18 @@ def test_predict_has_the_bits_of_one_broadcast_table(lam, n):
     # positive coefficients, so 1e300's inf powers sum to inf, not nan
     fit = FitResult("monomial", lam, np.linspace(0.5, 2.0, n + 1), 0.0, 1.0)
     with np.errstate(over="ignore"):
-        ref = _broadcast_table(lam, n, _TABLE_XS) @ fit.coeffs
-        assert _hexes(predict(fit, _TABLE_XS)) == _hexes(ref)
-        for x in _TABLE_XS[:6]:
-            one = _broadcast_table(lam, n, np.atleast_1d(x)) @ fit.coeffs
-            assert predict(fit, float(x)).hex() == float(one[0]).hex()
+        finite = np.isfinite(_broadcast_table(lam, n, _TABLE_XS) @ fit.coeffs)
+    assert finite[:5].all() and finite[6:].all()  # only 1e300 can overflow
+    xs = _TABLE_XS[finite]
+    ref = _broadcast_table(lam, n, xs) @ fit.coeffs
+    assert _hexes(predict(fit, xs)) == _hexes(ref)
+    for x in xs[:6]:
+        one = _broadcast_table(lam, n, np.atleast_1d(x)) @ fit.coeffs
+        assert predict(fit, float(x)).hex() == float(one[0]).hex()
+    if not finite[5]:  # an inf value is an error, not a result
+        for x in (_TABLE_XS, 1e300):
+            with pytest.raises(DomainError, match=r"max x = 1e\+300 with lambda"):
+                predict(fit, x)
 
 
 @pytest.mark.parametrize("lam", _TABLE_LAMBDAS)
@@ -788,6 +799,80 @@ def test_unit_weights_as_none_overflow_names_max_w_1(xs, ys, n, match, capfd):
     with pytest.raises(DomainError) as ones:
         lsq._discrete_fit(xs, ys, np.ones(len(xs)), 1.0, n)
     assert str(none.value) == str(ones.value)
+    assert capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# one solve for every ladder route: exact [A | b] from one row of moments
+# ---------------------------------------------------------------------------
+
+def _dyadic_shapes(monkeypatch):
+    """The shapes of the float arrays ``solvers._dyadic`` converts, from
+    ``lsq`` (the moment row) and from ``solvers`` (a float-as-exact [A | b])."""
+    shapes, dyadic = [], solvers._dyadic
+
+    def spy(v):
+        shapes.append(v.shape)
+        return dyadic(v)
+
+    monkeypatch.setattr(solvers, "_dyadic", spy)
+    monkeypatch.setattr(lsq, "_dyadic", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])  # LSMC takes degree >= 1
+@pytest.mark.parametrize("route", ["continuous", "discrete", "lsmc"])
+def test_every_ladder_fit_converts_one_row_of_moments_and_sums(route, n, monkeypatch):
+    shapes = _dyadic_shapes(monkeypatch)
+    xs = np.linspace(0.0, 2.0, 40)
+    if route == "continuous":
+        fit_continuous_normal(np.exp, 0.0, 2.0, 0.5, n)
+    elif route == "discrete":
+        fit_discrete_normal(DataSet(xs, np.exp(-xs)), 0.75, n)
+    else:
+        price_american_put(LsmcJob(GbmConfig(s0=38.0, r=0.05, sigma=0.71, horizon=1 / 6,
+                                             steps=8, paths=200, seed=1),
+                                   strike=48.0, lam=0.75, basis_degree=n))
+    # the 2n+1 moments and the n+1 sums, never the (n+1) x (n+2) matrix
+    assert shapes and set(shapes) == {(1, 3 * n + 2)}
+
+
+def test_quadrature_fde_converts_its_whole_float_system(monkeypatch):
+    shapes = _dyadic_shapes(monkeypatch)
+    solve_fde(FdeProblem(terms=((0.5, 1.0),), rhs=np.cos), 0.5, 3)
+    assert shapes == [(4, 5)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_continuous_rhs_overflow_is_one_domain_error(capfd):
+    with pytest.raises(DomainError) as info:
+        fit_continuous_normal(lambda x: 1e305 + 0 * x, 0.0, 100.0, 2.0, 2)
+    msg = str(info.value)
+    assert msg.startswith("the continuous normal equations overflow: max |y| = 1e+305 "
+                          "with max w = ")
+    assert "right-hand-side sum" in msg and "max x = 99.98" in msg
+    assert msg.endswith("lambda = 2.0, degree 2)")
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e100, 1e200, [1.0, 1e100]])
+def test_predict_past_the_float_range_is_one_domain_error(x, capfd):
+    # x^(2 lam) of 1e100 is inf: the fit's value is -inf at 1e100, nan at 1e200
+    xs = np.linspace(0.0, 1.0, 30)
+    fit = fit_discrete_normal(DataSet(xs, xs**1.5), 2.0, 2)
+    with pytest.raises(DomainError, match=r"^the fitted value overflows: max x = "
+                                          r"1e\+[12]00 with lambda = 2.0 and degree 2 "):
+        predict(fit, x)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error")
+def test_projection_past_the_float_range_is_one_domain_error(capfd):
+    xs = np.linspace(0.0, 1.0, 50)
+    basis = build_discrete(None, xs, 1.0, 2)
+    with pytest.raises(DomainError, match="the least-squares error overflows"):
+        fit_projection(DataSet(xs, np.full(50, 1e307)), basis)
     assert capfd.readouterr() == ("", "")
 
 

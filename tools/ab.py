@@ -16,8 +16,9 @@ separate benchmark runs drift by tens of percent.
 Prints the median and quartiles of the per-job time ratios (working tree /
 REV, each job's time summed over the rounds), the pool's total time on each
 side, and every job whose finished output differs in bits (floats compared
-through their shortest repr, which round-trips).  It does not replace the
-benchmark's own pairs of runs: those also measure set-up, memory and a
+through their shortest repr, which round-trips).  It exits 1 when any output
+differs, so "same bits" is the command's exit status.  It does not replace
+the benchmark's own pairs of runs: those also measure set-up, memory and a
 fresh process.
 """
 
@@ -123,7 +124,8 @@ def main(argv=None):
           f"(ratio {totals['work'] / totals['base']:.3f})")
     print(f"outputs differing in bits: {len(differing)}"
           + "".join(f"\n  {jid}" for jid in differing))
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
