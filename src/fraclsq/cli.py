@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, FraclsqError, UsageError
+from .errors import DomainError, FraclsqError, UsageError, check_lambda
 from .fraccalc import FdeProblem, solve_fde
 from .functions import NAMED_FUNCTIONS, lookup
 from .lsq import DataSet, add_noise, fit_continuous_normal, fit_discrete_normal, \
@@ -226,6 +226,8 @@ def _write_curve(path, fit, lo, hi):
 
 def cmd_fit(args):
     lams = _parse_floats("--lambda", args.lam)
+    if not lams:
+        raise UsageError(f"--lambda expects at least one value, got {args.lam!r}")
     predict_at = _parse_floats("--predict", args.predict) if args.predict else []
     results = []
     data = None
@@ -252,6 +254,7 @@ def cmd_fit(args):
                     raise UsageError(
                         "the continuous normal equations use the unit weight; "
                         "use --method projection for weighted fits")
+                check_lambda(lam)  # before the rule is built from its multiples
                 exps = fn.exponents + tuple(lam * i for i in range(args.degree + 1))
                 rule = quad.ladder_rule(args.quad_points, exps, lo, hi, fallback_step=lam)
                 fit = fit_continuous_normal(fn, lo, hi, lam, args.degree, rule=rule)

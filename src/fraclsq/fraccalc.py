@@ -14,33 +14,38 @@ basis is one, and the operator is a column map on it (``_image``) whose
 blocks sum to the images Psi of all rungs at once; ``caputo_derivative`` and
 ``apply_operator`` are that map on one row.  With a power-sum right-hand
 side F on [0, 1], the Gram matrix of [Psi; F] is an integer form over one
-exponent lattice, summed on sparse int rows (``_lattice``, ``_exact_gram``),
-kept exact through every refinement residual, and the error is the exact
-integral of the squared residual row, summed as a symmetric form.  What
-depends on structure only is built once per process in bounded caches: the
-basis (``_basis``), each order's column map with its Gamma ratios
-(``_image_plan``), the merge columns (``_columns``) and the lattice.  An
-exact solve then costs its big-int sums: the Gram (about 40 % of the route
-in process) and the refinement residuals (about 30 %).  A solution in the
-basis span is recovered to the last bit only while the float refinement
-contracts (cond * eps < 1): on monomial ladders at n=10 and n=14, where
-cond reaches 1e14-2e18, in-ladder solutions are missed by 1.7e-6 to 4.8e-5.
+exponent lattice, which ``solvers`` builds and reads back
+(``solvers._gram_system``); it stays exact through every refinement
+residual, and the error is the exact integral of the squared residual row
+(``solvers._sq_integral``).  What depends on structure only is built once
+per process in bounded caches: the basis (``_basis``), each order's column
+map with its Gamma ratios (``_image_plan``), the merge columns
+(``_columns``) and the lattice (``solvers._lattice``).  An exact solve then
+costs its big-int sums: the Gram (about 40 % of the route in process) and
+the refinement residuals (about 30 %).  The coefficients are not the
+last bits of the exact solution x* of the Gram system: for T8's in-ladder
+solution at lam=0.5, n=8 (cond 3.3e11) a_0..a_6 come back as up to
+1.1e-167 where x* is 0.  ``tests/test_answers.py`` checks the refinement's
+bound, cond * eps * ||x*||_inf, on discrete fits only; this route misses
+it on monomial ladders at n=10-11 whose cond passes 1/(64 eps), where the
+semidefinite solve drops eigenvalues.  On monomial ladders at n=10 and
+n=14 (cond 1e14-2e18), in-ladder solutions are missed by 1.7e-6 to 4.8e-5.
 Otherwise a quadrature rule samples the rows of Psi for a float solve.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (ConditioningError, DegeneracyError, DomainError, check_degree,
-                     check_lambda)
+from .errors import (ConditioningError, DegeneracyError, DomainError, check_abscissae,
+                     check_degree, check_lambda)
 from .fracpoly import muntz_legendre_coeffs
 from .lsq import FitResult, _sse, predict
-from .solvers import _dyadic, solve_normal_equations
+from .solvers import (LATTICE_CACHE, _gram_system, _lattice, _sq_integral,
+                      solve_normal_equations)
 from . import quadrature as quad
 from .special import gamma
 
@@ -55,11 +60,11 @@ __all__ = [
 
 MAX_FDE_SIZE = 15  # n+1 cap for the residual normal equations
 
-#: how many ladder bases (and image plans, one per ladder and order) and
-#: exponent lattices (and merge column plans) are kept for reuse; all depend
-#: on the problem's structure only, not on its coefficients
+#: how many ladder bases (and image plans, one per ladder and order) are kept
+#: for reuse; merge column plans are kept one per exponent lattice
+#: (``solvers.LATTICE_CACHE``); all depend on the problem's structure only,
+#: not on its coefficients
 BASIS_CACHE = 64
-LATTICE_CACHE = 64
 
 #: exponents are keyed by rounding to this many decimals so that one exponent
 #: reached by different float arithmetic lands on one column: a keyed rung
@@ -99,10 +104,17 @@ class FracFunction:
         return tuple((c, e) for e, c in self.terms)
 
     def __call__(self, x):
+        """The sum at a scalar (a float) or an array of finite x >= 0; a
+        value past the float range is a DomainError naming max x."""
         x = np.asarray(x, dtype=float)
+        check_abscissae(x, "power sum abscissae")
         out = np.zeros_like(x)
-        for e, c in self.terms:
-            out = out + c * x**e
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e, c in self.terms:
+                out = out + c * x**e
+        if not np.isfinite(out).all():
+            raise DomainError(f"the power sum overflows: max x = {float(np.max(x)):.6g} "
+                              f"puts it past the float range")
         return float(out) if out.ndim == 0 else out
 
     def at_zero(self):
@@ -237,47 +249,6 @@ def apply_operator(prob, p):
     return FracFunction(tuple(zip(exps, M[0].tolist())))
 
 
-@lru_cache(maxsize=LATTICE_CACHE)
-def _lattice(exps):
-    """(Q, W, L): the kernel 1/(e_a + e_b + 1) on the sorted tuple ``exps`` in
-    ints.  With e_a = P_a / Q exactly (``_dyadic``'s split) it is Q / s_ab,
-    s_ab = P_a + P_b + Q; L is the lcm of the distinct sums and
-    W[a][b] = L // s_ab, in tuples of Python ints.  Cached on the exponents."""
-    (P,), Q = _dyadic(np.array([exps], dtype=float))
-    sums = [[a + b + Q for b in P] for a in P]
-    distinct = set().union(*sums)
-    L = math.lcm(*distinct)
-    weight = {s: L // s for s in distinct}
-    return Q, tuple(tuple(map(weight.__getitem__, row)) for row in sums), L
-
-
-def _exact_gram(A, lattice):
-    """(N, D) with <a_i, a_j> over [0, 1] exactly N[i][j] / D for the rows of
-    A over a ``_lattice``: A = Z / K in dyadic ints, N = Q * (Z W Z^T) in int
-    rows, D = L K^2.  Only the nonzeros of Z enter, and only j <= i is summed:
-    M_i = Z_i W on the columns rows 0..i use, N_ij = Q * M_i Z_j^T.  One row z
-    takes half the products: N_00 = Q * sum_a z_a (z_a W_aa + 2 sum_b<a z_b W_ab).
-    Extra exponents (zero columns) change N and D but not the rational N / D."""
-    Q, W, L = lattice
-    Z, K = _dyadic(A)
-    rows = [([a for a, z in enumerate(row) if z], [z for z in row if z]) for row in Z]
-    if len(rows) == 1:
-        (a, z), = rows
-        s = 0
-        for k, (ak, zk) in enumerate(zip(a, z)):
-            Wk = W[ak]
-            s += zk * (zk * Wk[ak] + 2 * sum(map(mul, map(Wk.__getitem__, a[:k]), z[:k])))
-        return [[Q * s]], L * K * K
-    N = [[0] * len(rows) for _ in rows]
-    cols = set()
-    for i, (ai, zi) in enumerate(rows):
-        cols.update(ai)
-        M = {b: sum(map(mul, map(W[b].__getitem__, ai), zi)) for b in cols}  # W = W^T
-        for j, (aj, zj) in enumerate(rows[:i + 1]):
-            N[i][j] = N[j][i] = Q * sum(map(mul, map(M.__getitem__, aj), zj))
-    return N, L * K * K
-
-
 @lru_cache(maxsize=BASIS_CACHE)
 def _basis(lam, n, kind):
     """(exps, C): the ladder exponents and one coefficient row per rung, as a
@@ -375,22 +346,16 @@ def solve_fde(prob, lam, n, basis_kind="monomial"):
             except DomainError:  # a coefficient of Psi or F past the float range
                 raise _overflow(prob, "exact") from None
             lattice = _lattice(exps)
-            N, D = _exact_gram(A, lattice)
-            if max(N[i][i] for i in range(len(N))) > int(np.finfo(float).max) * D:
-                raise _overflow(prob, "exact")  # every |N[i][j]| <= the largest N[i][i]
-            # one division per symmetric pair: [G | d] from the lower triangle
-            Gd = np.empty((n + 1, n + 2))
-            for i, row in enumerate(N[:-1]):
-                Gd[i, :i + 1] = Gd[:i + 1, i] = [v / D for v in row[:i + 1]]
-            Gd[:, -1] = [row[-1] / D for row in N[:-1]]
+            try:
+                G, d, exact = _gram_system(A, lattice)
+            except OverflowError:
+                raise _overflow(prob, "exact") from None
             # semidefinite systems (operator image parallel to the IC
             # constant, e.g. lam == alpha) take the minimum-norm solution
-            coeffs, cond = solve_normal_equations(Gd[:, :-1], Gd[:, -1], (N[:-1], D),
-                                                  allow_semidefinite=True)
+            coeffs, cond = solve_normal_equations(G, d, exact, allow_semidefinite=True)
             # r = sum_i a_i Psi_i - F in rung order; a matmul would round differently
             r = sum((a * psi for a, psi in zip(coeffs, A)), np.zeros(len(exps))) - A[-1]
-            N, D = _exact_gram(r[None], lattice)
-            error = N[0][0] / D
+            error = _sq_integral(r, lattice)
         else:
             coeffs, cond, error = _quadrature_solve(prob, blocks, n)
     except ConditioningError as exc:

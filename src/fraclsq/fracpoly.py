@@ -47,11 +47,17 @@ class FractionalPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """P(x) at a scalar (a float) or an array of x >= 0."""
+        """P(x) at a scalar (a float) or an array of finite x >= 0; a value
+        past the float range is a DomainError naming max x."""
         x = np.asarray(x, dtype=float)
         check_abscissae(x, "fractional polynomial abscissae")
         # Horner in u = x^lam; 0^lam = 0 leaves a_0 at x = 0
-        return _scalar_or_array(np.polyval(self.coeffs[::-1], x**self.lam))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.polyval(self.coeffs[::-1], x**self.lam)
+        if not np.isfinite(out).all():
+            raise DomainError(f"the fractional polynomial overflows: max x = "
+                              f"{float(np.max(x)):.6g} puts it past the float range")
+        return _scalar_or_array(out)
 
 
 def _scalar_or_array(v):

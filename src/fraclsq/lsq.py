@@ -15,9 +15,10 @@ system (1 for the projection route).
 
 Every ladder fit, LSMC's too, is solved by :func:`_ladder_solve`: A is the
 Hankel matrix of the 2n+1 moments <x^(i lam), x^(j lam)> (integrals or
-sums), so the solver gets [A | b] exactly from them and the n+1 entries of
-b, and an overflow is one DomainError.  :func:`_sse` scores every sampled
-route (``solve_fde``'s quadrature path too), block by block.
+sums), so ``solvers._ladder_system`` makes A and the exact [A | b] from
+them and the n+1 entries of b, and an overflow is one DomainError.
+:func:`_sse` scores every sampled route (``solve_fde``'s quadrature path
+too), block by block.
 :func:`_discrete_fit` is the discrete route on plain arrays, which LSMC calls
 once per exercise date with no DataSet or FitResult and no condition estimate.
 
@@ -38,7 +39,7 @@ from .errors import (ConditioningError, DomainError, UsageError, check_abscissae
                      check_degree, check_lambda, check_weights)
 from .fracpoly import FractionalPolynomial, muntz_legendre_coeffs, muntz_legendre_rungs
 from .orthobasis import _BLOCK_ROWS, OrthogonalBasis, _block_len, _pairwise_sum
-from .solvers import _dyadic, _refined, solve_normal_equations
+from .solvers import _ladder_system, _refined, solve_normal_equations
 from . import quadrature as quad
 
 __all__ = [
@@ -134,35 +135,19 @@ def _monomial_values(lam, n, x, out=None):
     return out
 
 
-def _hankel(moments):
-    """The ladder's normal matrix from its 2n+1 moments: x^(i lam) x^(j lam)
-    = x^((i+j) lam), so entry (i, j) is moment i+j."""
-    idx = np.arange(len(moments) // 2 + 1)
-    return moments[idx[:, None] + idx[None, :]]
-
-
-def _exact_system(moments, rhs):
-    """[A | b] = N / D exactly, A = ``_hankel(moments)``, as ``solvers._dyadic``
-    gives it for the whole matrix: every entry of A is a moment, so only the
-    2n+1 moments and the n+1 sums are converted, as one row.  A non-finite
-    entry raises OverflowError (inf) or ValueError (nan)."""
-    (ints,), D = _dyadic(np.concatenate([moments, rhs])[None])
-    n = len(rhs) - 1
-    return [ints[i:i + n + 1] + [ints[2 * n + 1 + i]] for i in range(n + 1)], D
-
-
 def _ladder_solve(route, moments, V, xs, ys, w, lam, cond=True):
-    """(coeffs, cond, V @ coeffs) of A c = V^T (w * ys), A = ``_hankel(moments)``,
-    V = x^(i lam) at ``xs`` (``w`` None: unit weights), for every ladder
-    ``route``: [A | b] exact from the moments (``_exact_system``), cond None
-    when ``cond`` is False.  A moment past the float range is a DomainError
-    naming max x, lam and the degree; a right-hand-side entry, one naming
-    max |y| and max w; both name the route ("continuous" or "discrete")."""
+    """(coeffs, cond, V @ coeffs) of A c = V^T (w * ys), A the Hankel matrix of
+    the ``moments``, V = x^(i lam) at ``xs`` (``w`` None: unit weights), for
+    every ladder ``route``: A and the exact [A | b] from the moments
+    (``solvers._ladder_system``), cond None when ``cond`` is False.  A moment
+    past the float range is a DomainError naming max x, lam and the degree;
+    a right-hand-side entry, one naming max |y| and max w; both name the
+    route ("continuous" or "discrete")."""
     n = V.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = V.T @ (ys if w is None else w * ys)
     try:
-        exact = _exact_system(moments, rhs)
+        A, exact = _ladder_system(moments, rhs)
     except (OverflowError, ValueError):  # a moment or a sum is not finite
         x_max, w_max = float(np.max(xs)), 1.0 if w is None else float(np.max(w))
         if not np.isfinite(moments).all():
@@ -175,7 +160,6 @@ def _ladder_solve(route, moments, V, xs, ys, w, lam, cond=True):
             f"{float(np.max(np.abs(ys))):.6g} with max w = {w_max:.6g} puts a "
             f"right-hand-side sum of w * y * x^(i*lambda), i <= {n}, past the float "
             f"range (max x = {x_max:.6g}, lambda = {lam}, degree {n})") from None
-    A = _hankel(moments)
     coeffs, cond = (solve_normal_equations(A, rhs, exact) if cond
                     else (_refined(A, rhs, exact), None))
     return coeffs, cond, V @ coeffs

@@ -207,12 +207,13 @@ def common_step(exponents):
     """Largest step s such that every exponent is an integer multiple of s.
 
     Exponents are matched to rationals with denominator <= MAX_STEP_DENOMINATOR;
-    returns None when some exponent is not (numerically) commensurable.  Used
-    to pick a substitution that makes mixed-exponent integrands exactly polynomial.
+    returns None when some exponent is negative, not finite or not
+    (numerically) commensurable.  Used to pick a substitution that makes
+    mixed-exponent integrands exactly polynomial.
     """
     fracs = []
     for e in exponents:
-        if e < 0:
+        if not 0 <= e < math.inf:  # negative, infinite or NaN
             return None
         if e == 0:
             continue

@@ -12,7 +12,7 @@ before its test, so the test's first calls build every plan afresh.
 import pytest
 from hypothesis import settings
 
-from fraclsq import fraccalc, quadrature
+from fraclsq import fraccalc, quadrature, solvers
 
 settings.register_profile("property", derandomize=True, deadline=None, database=None,
                           max_examples=40)
@@ -23,7 +23,7 @@ settings.load_profile("property")
 def cold_plans():
     """The cached plan builders, each emptied: (rules, bases, lattices,
     images, columns)."""
-    caches = (quadrature._ladder_rule, fraccalc._basis, fraccalc._lattice,
+    caches = (quadrature._ladder_rule, fraccalc._basis, solvers._lattice,
               fraccalc._image_plan, fraccalc._columns)
     for cache in caches:
         cache.cache_clear()

@@ -150,6 +150,26 @@ def test_only_quadrature_builds_rules():
     assert not calls, f"rules built outside quadrature.ladder_rule: {calls}"
 
 
+def test_only_solvers_holds_exact_systems():
+    # the Python-int form of [A | b] is built and read in solvers.py alone: no
+    # other module splits a float into ints, takes an lcm of denominators or
+    # imports the dyadic split
+    found = []
+    for path in sorted(Path(fraclsq.__file__).parent.glob("*.py")):
+        if path.name == "solvers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("as_integer_ratio", "lcm"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "_dyadic"
+                                                         for a in node.names):
+                found.append(f"{path.name}:{node.lineno} imports _dyadic")
+    assert not found, f"exact-system arithmetic outside solvers.py: {found}"
+
+
 def _abscissa_entry_points(x):
     """(call, noun) for every entry point that takes points where x^lam is
     taken, each called with ``x`` among valid points."""

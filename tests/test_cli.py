@@ -958,8 +958,18 @@ def test_scipy_is_imported_only_for_a_jacobi_rule(sales_csv, tmp_path):
     (["solve-fde", "--alphas", "0.5", "--term-coeffs", "1,2", "--rhs", "x15",
       "--lambda", "0.5", "--degree", "2"],
      "--term-coeffs must match --alphas in length"),
+    # lambda is checked before the continuous fit's rule is built from it
+    (["fit", "--function", "x15", "--lambda", "nan", "--degree", "2"],
+     "lambda must lie in (0, 2], got nan"),
+    (["fit", "--function", "x15", "--lambda", "inf", "--degree", "2"],
+     "lambda must lie in (0, 2], got inf"),
+    (["fit", "--function", "x15", "--lambda=", "--degree", "2"],
+     "--lambda expects at least one value, got ''"),
+    (["fit", "--function", "x15", "--lambda=,", "--degree", "2", "--curve-out",
+      "{tmp}/c.csv"], "--lambda expects at least one value, got ','"),
 ], ids=["no_input", "interval", "jacobi_one_exponent", "jacobi_non_numeric",
-        "unknown_weight", "missing_input", "empty_points_file", "term_coeffs_length"])
+        "unknown_weight", "missing_input", "empty_points_file", "term_coeffs_length",
+        "lambda_nan", "lambda_inf", "lambda_empty", "lambda_empty_curve_out"])
 def test_bad_input_is_one_error_line(args, message, tmp_path, capsys):
     (tmp_path / "empty.txt").write_text("", encoding="utf-8")
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in args], capsys)

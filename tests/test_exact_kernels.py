@@ -2,7 +2,7 @@
 division-scaled, every-product forms.
 
 ``solvers._dyadic`` and ``solvers._residual`` scale by left shifts, and
-``fraccalc._exact_gram`` sums a single row as a symmetric quadratic form.
+``solvers._exact_gram`` sums a single row as a symmetric quadratic form.
 Each must give the same Python ints (and so the same correctly rounded
 floats) as the straightforward code kept here: ``K // q`` multiples, a 2-d
 wrap of the iterate, and every product of Z W Z^T.
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fraclsq import solvers
-from fraclsq.fraccalc import _exact_gram, _lattice
+from fraclsq.solvers import _exact_gram, _lattice
 
 
 def _dyadic_by_division(v):

@@ -21,8 +21,8 @@ from fraclsq import (
     substituted_rule,
 )
 from fraclsq import fraccalc
-from fraclsq.fraccalc import _exact_gram, _lattice
-from fraclsq.functions import multi_term_problem, single_term_problem
+from fraclsq.solvers import _exact_gram, _lattice
+from fraclsq.functions import lookup, multi_term_problem, single_term_problem
 
 
 def _caputo_oracle(nu, alpha, x):
@@ -90,6 +90,30 @@ def test_apply_operator_single_term():
     prob = FdeProblem(terms=((0.5, 1.0),))
     out = apply_operator(prob, FracFunction.from_terms([(1.0, 1.0)]))
     assert out(0.49) == pytest.approx(0.49**0.5 / gamma(1.5), rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x, match", [
+    (-1.0, r"^power sum abscissae must be finite and >= 0, got -1.0$"),
+    (math.nan, r"^power sum abscissae must be finite$"),
+    (math.inf, r"^power sum abscissae must be finite$"),
+    ([0.5, -math.inf], r"^power sum abscissae must be finite$"),
+    (1e300, r"^the power sum overflows: max x = 1e\+300 puts it past the float range$"),
+    ([1.0, 1e300], r"^the power sum overflows: max x = 1e\+300 puts it past"),
+])
+def test_power_sum_outside_its_domain_is_one_domain_error(x, match):
+    with pytest.raises(DomainError, match=match):
+        lookup("x075+x15")(x)
+
+
+def test_power_sum_values_keep_their_bits():
+    f = FracFunction.from_terms([(1.0, 0.75), (-2.5, 1.5), (0.25, 0.0)])
+    xs = np.array([0.0, 0.3, 1.0, 7.5, 1e100])
+    want = np.zeros_like(xs)
+    for e, c in f.terms:
+        want = want + c * xs**e
+    assert f(xs).tobytes() == want.tobytes()
+    assert [f(float(x)) for x in xs] == want.tolist()
 
 
 def test_apply_operator_zero_function():

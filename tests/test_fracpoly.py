@@ -39,6 +39,18 @@ def test_eval_rejects_negative_x():
         p(-0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e200, [1.0, 1e200]])
+def test_eval_past_the_float_range_is_one_domain_error(x):
+    p = FractionalPolynomial(2.0, (1.0, 1.0, 1.0))
+    with pytest.raises(DomainError, match=r"^the fractional polynomial overflows: "
+                       r"max x = 1e\+200 puts it past the float range$"):
+        p(x)
+    # finite values keep the bits of Horner in u = x^lam
+    xs = np.array([0.0, 0.5, 3.0, 1e75])
+    assert p(xs).tobytes() == np.polyval([1.0, 1.0, 1.0], xs**2.0).tobytes()
+
+
 def test_lambda_range_enforced():
     with pytest.raises(DomainError):
         FractionalPolynomial(0.0, (1.0,))

@@ -499,8 +499,8 @@ def _moments_and_sums(draw):
 @given(_moments_and_sums())
 def test_exact_system_from_moments_is_the_dyadic_float_system(system):
     moments, rhs = system
-    N, D = lsq._exact_system(moments, rhs)
-    want_N, want_D = solvers._dyadic(np.column_stack([lsq._hankel(moments), rhs]))
+    A, (N, D) = solvers._ladder_system(moments, rhs)
+    want_N, want_D = solvers._dyadic(np.column_stack([A, rhs]))
     assert D == want_D
     assert N == want_N and all(type(v) is int for row in N for v in row)
 
@@ -511,7 +511,7 @@ def test_exact_system_refuses_a_non_finite_entry(where, bad):
     moments, rhs = np.ones(5), np.ones(3)
     (moments if where == "moment" else rhs)[1] = bad
     with pytest.raises((OverflowError, ValueError)):
-        lsq._exact_system(moments, rhs)
+        solvers._ladder_system(moments, rhs)
 
 
 @pytest.mark.filterwarnings("error")
@@ -749,9 +749,12 @@ def test_blocked_power_table_has_the_bits_of_one_broadcast(lam, n, monkeypatch):
 
     # the sweep's system is recorded where it becomes exact, before the
     # overflow check, as the normal matrix of its moments and the sums
-    monkeypatch.setattr(lsq, "_exact_system",
-                        lambda moments, b: systems["sweep"].append(
-                            (lsq._hankel(moments), b)))
+    def sweep_system(moments, b):
+        idx = np.arange(n + 1)
+        systems["sweep"].append((moments[idx[:, None] + idx], b))
+        return systems["sweep"][-1][0], None
+
+    monkeypatch.setattr(lsq, "_ladder_system", sweep_system)
     monkeypatch.setattr(lsq, "solve_normal_equations",
                         lambda A, b, exact: (np.ones(len(b)), 1.0))
     with np.errstate(over="ignore"):
@@ -807,8 +810,8 @@ def test_unit_weights_as_none_overflow_names_max_w_1(xs, ys, n, match, capfd):
 # ---------------------------------------------------------------------------
 
 def _dyadic_shapes(monkeypatch):
-    """The shapes of the float arrays ``solvers._dyadic`` converts, from
-    ``lsq`` (the moment row) and from ``solvers`` (a float-as-exact [A | b])."""
+    """The shapes of the float arrays ``solvers._dyadic`` converts: a ladder
+    fit's moment row or a float-as-exact [A | b]."""
     shapes, dyadic = [], solvers._dyadic
 
     def spy(v):
@@ -816,7 +819,6 @@ def _dyadic_shapes(monkeypatch):
         return dyadic(v)
 
     monkeypatch.setattr(solvers, "_dyadic", spy)
-    monkeypatch.setattr(lsq, "_dyadic", spy)
     return shapes
 
 

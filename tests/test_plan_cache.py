@@ -13,7 +13,7 @@ import pytest
 
 from fraclsq import (DomainError, FdeProblem, FracFunction, WeightSpec, apply_operator,
                      build_continuous, fit_continuous_normal, predict, solve_fde)
-from fraclsq import fraccalc, quadrature
+from fraclsq import fraccalc, quadrature, solvers
 from fraclsq.functions import multi_term_problem
 from fraclsq.quadrature import ladder_rule, sample
 
@@ -121,7 +121,7 @@ def test_repeat_calls_return_the_same_objects(cold_plans):
     assert fraccalc._basis(0.5, 4, "muntz_legendre") is fraccalc._basis(0.5, 4,
                                                                           "muntz_legendre")
     exps = (0.0, 0.25, 0.5)
-    assert fraccalc._lattice(exps) is fraccalc._lattice(tuple(list(exps)))  # an equal key
+    assert solvers._lattice(exps) is solvers._lattice(tuple(list(exps)))  # an equal key
     assert fraccalc._image_plan(exps, 0.25) is fraccalc._image_plan(tuple(list(exps)), 0.25)
     keys = ((0.5, 0.25), (0.0,))
     assert fraccalc._columns(keys) is fraccalc._columns(((0.5, 0.25), (0.0,)))
@@ -135,7 +135,7 @@ def test_cached_arrays_are_read_only(cold_plans):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert isinstance(exps, tuple)
-    Q, W, L = fraccalc._lattice(exps)
+    Q, W, L = solvers._lattice(exps)
     assert isinstance(W, tuple) and all(isinstance(row, tuple) for row in W)
     src, up, down, shifted = fraccalc._image_plan(exps, 0.5)
     merged, idx = fraccalc._columns(((0.25, 0.5, 0.75), (0.0, 0.5)))
@@ -154,14 +154,14 @@ def test_caches_stay_within_their_bounds(cold_plans):
     # the images are per basis and order, the merge columns per lattice
     assert bases.cache_info().maxsize == images.cache_info().maxsize == fraccalc.BASIS_CACHE
     assert lattices.cache_info().maxsize == columns.cache_info().maxsize == \
-        fraccalc.LATTICE_CACHE
+        solvers.LATTICE_CACHE
     for k in range(quadrature.LADDER_RULE_CACHE + 10):
         ladder_rule(4, (), 1.0, 2.0 + k)
     for k in range(fraccalc.BASIS_CACHE + 10):
         fraccalc._basis(0.25 + k / 64, 2, "monomial")
         fraccalc._image_plan((0.0, 1.0), (k + 1) / 128)
-    for k in range(fraccalc.LATTICE_CACHE + 10):
-        fraccalc._lattice((0.0, (k + 1) / 128))
+    for k in range(solvers.LATTICE_CACHE + 10):
+        solvers._lattice((0.0, (k + 1) / 128))
         fraccalc._columns(((0.0, (k + 1) / 128),))
     for cache in cold_plans:
         info = cache.cache_info()

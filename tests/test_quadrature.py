@@ -242,6 +242,12 @@ def test_rule_invariants_guarded():
 # common_step
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_common_step_of_a_non_finite_exponent_is_none(bad):
+    assert common_step([bad]) is None
+    assert common_step([0.5, bad, 1.0]) is None
+
+
 def test_common_step_examples():
     assert common_step((0.75, 1.5)) == pytest.approx(0.75)
     assert common_step((0.75, 1.5, 1.0, 2.0)) == pytest.approx(0.25)
